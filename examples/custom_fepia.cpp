@@ -57,7 +57,7 @@ int main() {
         .feature("T_end_to_end", core::ImpactFunction::callable(e2eTime),
                  core::ToleranceBounds::atMost(85.0))
         .options(options)
-        .build();
+        .compile();
   };
 
   // Step 4 with three independent solvers.
@@ -68,8 +68,7 @@ int main() {
     core::AnalyzerOptions options;
     options.solver = solver;
     options.solverOptions.samples = 20000;  // tighten the MC oracle
-    const auto analyzer = build(options);
-    const auto report = analyzer.analyze();
+    const auto report = build(options).evaluate();
     const auto& binding = report.radii[report.bindingFeature];
     std::string lambdaStar = "(";
     lambdaStar += formatDouble(binding.boundaryPoint[0]);
@@ -96,16 +95,16 @@ int main() {
     options.solver = norm == core::NormKind::L2 ? core::SolverKind::Auto
                                                 : core::SolverKind::MonteCarlo;
     options.solverOptions.samples = 20000;
-    const auto report = build(options).analyze();
+    const auto report = build(options).evaluate();
     norms.addRow({core::toString(norm), formatDouble(report.metric, 6)});
   }
   norms.print(std::cout);
 
   // Empirical validation of the guarantee.
   core::AnalyzerOptions options;
-  const auto analyzer = build(options);
-  const auto report = analyzer.analyze();
-  const auto validation = core::validateRadius(analyzer, report.metric);
+  const auto problem = build(options);
+  const auto report = problem.evaluate();
+  const auto validation = core::validateRadius(problem, report.metric);
   std::cout << "\nvalidation: " << validation.violationsInside << "/"
             << validation.samplesInside << " violations inside rho, "
             << validation.violationsAtBoundary << "/"
@@ -113,7 +112,7 @@ int main() {
 
   // Operational what-if sweep via the compile-once engine: compile the
   // derivation once, then re-evaluate rho at shifted operating points from
-  // one reusable workspace (bit-identical to rebuilding the analyzer at
+  // one reusable workspace (bit-identical to re-deriving the problem at
   // each origin, without the rebuild).
   const auto compiled =
       core::FepiaBuilder("same derivation, compiled")

@@ -2,9 +2,9 @@
 // evaluate many per-query states against it.
 //
 // The paper's experiments (and any heuristic mapping search) evaluate the
-// metric for thousands of mappings against ONE fixed scenario. The legacy
-// RobustnessAnalyzer pays the full derivation cost per mapping: feature-name
-// strings, optional-wrapped affine payloads and type-erased closures are
+// metric for thousands of mappings against ONE fixed scenario. Re-deriving
+// per mapping pays the full cost every time: feature-name strings,
+// optional-wrapped affine payloads and type-erased closures are
 // re-allocated on every construction. The engine splits that work in two:
 //
 //   Phase 1 — CompiledProblem::compile(ProblemSpec): validate once and pack
@@ -18,12 +18,12 @@
 //   per-query state only (perturbation origin, per-feature constants, an
 //   optional per-feature weight scale such as HiPer-D's multitasking
 //   factor). Results are written into a caller-owned reusable workspace; the
-//   steady state performs no heap allocation on the affine fast path. The
-//   produced RobustnessReport is bit-identical to what
-//   RobustnessAnalyzer::analyze() returns for the equivalent derivation.
+// steady state performs no heap allocation on the affine fast path. The
+//   produced RobustnessReport is bit-identical to the pre-compiled
+//   analyzer's arithmetic (pinned by tests/test_core_compiled.cpp).
 //
-// analyzeBatch() fans a span of instances across util::thread_pool with a
-// static block partition: results are bit-identical for every thread count.
+// analyzeBatch() fans a span of instances across util::forEachShard:
+// results are bit-identical for every thread count.
 #pragma once
 
 #include <cstddef>
@@ -151,14 +151,19 @@ void evaluateAffineRadius(const AffineFeatureView& feature,
                           double dualNormHint = 0.0,
                           double weightedDenomHint = 0.0);
 
+/// Records one metric-lane evaluation in obs (call only while recording is
+/// enabled): the SIMD dispatch target, the `pruned` rows the prune skipped,
+/// and the prune effectiveness as a percentage of the `rows` considered.
+void countMetricEvaluation(std::size_t pruned, std::size_t rows);
+
 /// Phase 1 + phase 2 of the engine. Immutable once compiled; evaluate() is
 /// const and reentrant, so one compiled problem may serve many threads as
 /// long as each uses its own workspace.
 class CompiledProblem {
  public:
   /// Validates the derivation (dimensions, bounds, norm weights) and packs
-  /// it. Throws InvalidArgumentError exactly where the legacy analyzer
-  /// constructor did.
+  /// it. Throws InvalidArgumentError on an invalid derivation (no features,
+  /// dimension mismatch, feature without bounds, bad norm weights).
   [[nodiscard]] static CompiledProblem compile(ProblemSpec spec);
 
   [[nodiscard]] std::size_t featureCount() const noexcept {
@@ -213,7 +218,8 @@ class CompiledProblem {
       const AnalysisInstance& instance) const;
 
   /// Convenience: evaluates the compiled defaults (the spec's origin and
-  /// constants) — the exact equivalent of RobustnessAnalyzer::analyze().
+  /// constants): all radii and rho = min radius (Eq. 2), floored when the
+  /// parameter is discrete (Section 3.2's "objects per data set" rule).
   [[nodiscard]] RobustnessReport evaluate() const;
 
   /// Robustness radius of feature `index` at the compiled defaults (Eq. 1).

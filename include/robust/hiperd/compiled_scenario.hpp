@@ -16,7 +16,7 @@
 // analyze(mapping, workspace) then materializes only the mapping-dependent
 // weight rows into a caller-owned workspace and runs the shared core kernel
 // (core::evaluateAffineRadius), producing a RobustnessReport bit-identical
-// to HiperdSystem(scenario, mapping).toAnalyzer(options).analyze().
+// to HiperdSystem(scenario, mapping).analyze(options).
 //
 // The all-affine fast path applies when every compute and comm function is
 // linear and the solver is Auto or Analytic (the generated scenarios and the
@@ -83,7 +83,7 @@ class CompiledScenario {
   /// Phase 2: full robustness analysis of one mapping (Eq. 11, floored).
   /// Returns a reference to the workspace-owned report (valid until the next
   /// analyze through the same workspace). Bit-identical to
-  /// HiperdSystem(scenario, mapping).toAnalyzer(options).analyze().
+  /// HiperdSystem(scenario, mapping).analyze(options).
   const core::RobustnessReport& analyze(const sched::Mapping& mapping,
                                         ScenarioWorkspace& workspace) const;
 
@@ -91,10 +91,9 @@ class CompiledScenario {
   [[nodiscard]] core::RobustnessReport analyze(
       const sched::Mapping& mapping) const;
 
-  /// Analyzes every mapping with a static block partition over
-  /// util::thread_pool (threads = 0 means defaultThreadCount()); each block
-  /// reuses a dedicated workspace and results are bit-identical for every
-  /// thread count.
+  /// Analyzes every mapping through util::forEachShard (threads = 0 means
+  /// defaultThreadCount()); each worker reuses a dedicated workspace and
+  /// results are bit-identical for every thread count.
   [[nodiscard]] std::vector<core::RobustnessReport> analyzeMappings(
       std::span<const sched::Mapping> mappings, std::size_t threads = 0) const;
 
@@ -123,6 +122,14 @@ class CompiledScenario {
  private:
   [[nodiscard]] const num::Vec& computeCoeffs(std::size_t app,
                                               std::size_t machine) const;
+  /// The mapping's per-app multitasking factors into workspace.factors_.
+  void loadFactors(const sched::Mapping& mapping,
+                   ScenarioWorkspace& workspace) const;
+  /// Path `path`'s latency weight row into workspace.row_, in the legacy
+  /// accumulation order (per-app axpy with the multitask factor, then
+  /// per-edge axpy), so its sums match the legacy derivation bit for bit.
+  void assembleLatencyRow(const Path& path, const sched::Mapping& mapping,
+                          ScenarioWorkspace& workspace) const;
 
   const HiperdScenario* scenario_ = nullptr;
   core::AnalyzerOptions options_;

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/hiperd/graph.hpp"
 #include "robust/hiperd/load_function.hpp"
 #include "robust/scheduling/mapping.hpp"
@@ -113,15 +113,17 @@ class HiperdSystem {
   /// constraints of (1 - fractional value).
   [[nodiscard]] double slack() const;
 
-  /// Builds the FePIA analyzer for this mapping: one feature per non-trivial
-  /// computation / communication / latency constraint, perturbation lambda
-  /// (discrete). Features whose impact does not depend on lambda carry no
-  /// boundary and are omitted.
-  [[nodiscard]] core::RobustnessAnalyzer toAnalyzer(
+  /// The FePIA derivation for this mapping, ready for
+  /// CompiledProblem::compile: one feature per non-trivial computation /
+  /// communication / latency constraint, perturbation lambda (discrete).
+  /// Features whose impact does not depend on lambda carry no boundary and
+  /// are omitted. Callable (non-linear) latency features reference this
+  /// system, which must outlive the compiled problem.
+  [[nodiscard]] core::ProblemSpec toSpec(
       core::AnalyzerOptions options = {}) const;
 
-  /// Full robustness analysis (Eq. 11, floored): convenience wrapper around
-  /// toAnalyzer().analyze().
+  /// Full robustness analysis (Eq. 11, floored): compiles toSpec() and
+  /// evaluates it.
   [[nodiscard]] core::RobustnessReport analyze(
       core::AnalyzerOptions options = {}) const;
 

@@ -1,9 +1,11 @@
-// A minimal JSON reader for validating the artifacts this library writes:
-// run reports (obs::writeRunReport) and Chrome trace-event files. It exists
-// so tests and the report_check tool can verify schemas without an external
-// dependency — it is not a general-purpose JSON library (\uXXXX escapes are
-// decoded for the Basic Multilingual Plane only — no surrogate pairs, which
-// our writers never emit — and numbers are parsed as double).
+// Minimal JSON support for the artifacts this library writes: run reports
+// (obs::writeRunReport), Chrome trace-event files, curve sections and the
+// robustd STATS document. The two writer helpers are the one escape and
+// number rule every writer shares; the reader exists so tests and the
+// report_check tool can verify schemas without an external dependency. It
+// is not a general-purpose JSON library (\uXXXX escapes are decoded for the
+// Basic Multilingual Plane only — no surrogate pairs, which our writers
+// never emit — and numbers are parsed as double).
 #pragma once
 
 #include <string>
@@ -12,6 +14,16 @@
 #include <vector>
 
 namespace robust::obs::json {
+
+/// `s` escaped for use inside a JSON string literal (no surrounding
+/// quotes): `"` and `\` get a backslash, newline and tab their short
+/// forms, every other control character \u00XX.
+[[nodiscard]] std::string escape(std::string_view s);
+
+/// `v` as a JSON number: %.17g (round-trips) when finite. JSON has no
+/// infinity or NaN literal, so +/-infinity render as the extreme finite
+/// doubles and NaN as 0.
+[[nodiscard]] std::string number(double v);
 
 /// One parsed JSON value. Object member order is preserved.
 class Value {

@@ -1,11 +1,13 @@
-// A small fixed-size thread pool with a blocking parallel_for.
+// A small fixed-size thread pool and the one shard dispatcher every parallel
+// lane uses (forEachShard).
 //
-// Experiment drivers evaluate thousands of independent mappings; each
-// evaluation is pure given its substream RNG, so a static block partition is
-// both deterministic and contention-free (no shared mutable state beyond the
-// output slots, which are disjoint).
+// Batch lanes evaluate thousands of independent instances, samples or
+// mappings; each evaluation is pure given its inputs (and substream RNG), so
+// any shard schedule writing disjoint output slots is deterministic.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -72,12 +74,61 @@ class ThreadPool {
 /// otherwise hardware concurrency (minimum 1). Read once and cached.
 [[nodiscard]] std::size_t defaultThreadCount() noexcept;
 
-/// Runs body(i) for i in [begin, end) across the pool in contiguous blocks
-/// and blocks until completion. With a single hardware thread this degrades
-/// gracefully to a serial loop (no pool spun up). If body throws, the first
-/// exception is rethrown here after every block has finished.
-void parallelFor(std::size_t begin, std::size_t end,
-                 const std::function<void(std::size_t)>& body,
-                 std::size_t threads = 0);
+/// Runs body(shard, lo, hi, scratch) once for every shard [lo, hi) of
+/// [0, n), cut into `shardSize`-index pieces (the last may be short), and
+/// blocks until all have run. Workers (min(threads, shards); threads = 0
+/// means defaultThreadCount()) claim shards by dynamic ticket; each builds
+/// one scratch with makeScratch() and reuses it for every shard it claims.
+/// One worker runs inline on the calling thread; more run as one pool task
+/// each. A shard that throws does not stop the others: after every shard
+/// has run, the exception of the lowest-index failing shard is rethrown.
+/// Callers that write only disjoint per-index output therefore get results
+/// independent of the worker count and of the claim order.
+template <typename MakeScratch, typename Body>
+void forEachShard(std::size_t n, std::size_t shardSize, std::size_t threads,
+                  MakeScratch makeScratch, Body body) {
+  shardSize = std::max<std::size_t>(1, shardSize);
+  const std::size_t nShards = n / shardSize + (n % shardSize != 0 ? 1 : 0);
+  if (nShards == 0) {
+    return;
+  }
+  const std::size_t workers = std::min(
+      threads == 0 ? defaultThreadCount() : threads, nShards);
+  std::atomic<std::size_t> ticket{0};
+  std::mutex failureMutex;
+  std::size_t failedShard = nShards;
+  std::exception_ptr failure;
+  const auto drain = [&] {
+    auto scratch = makeScratch();
+    for (;;) {
+      const std::size_t s = ticket.fetch_add(1, std::memory_order_relaxed);
+      if (s >= nShards) {
+        return;
+      }
+      const std::size_t lo = s * shardSize;
+      try {
+        body(s, lo, std::min(n, lo + shardSize), scratch);
+      } catch (...) {
+        const std::lock_guard lock(failureMutex);
+        if (s < failedShard) {
+          failedShard = s;
+          failure = std::current_exception();
+        }
+      }
+    }
+  };
+  if (workers <= 1) {
+    drain();
+  } else {
+    ThreadPool pool(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.submit(drain);
+    }
+    pool.wait();
+  }
+  if (failure) {
+    std::rethrow_exception(failure);
+  }
+}
 
 }  // namespace robust

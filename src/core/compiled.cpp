@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "robust/core/row_radius.hpp"
 #include "robust/numeric/hyperplane.hpp"
 #include "robust/numeric/projection.hpp"
 #include "robust/numeric/simd.hpp"
@@ -17,6 +18,26 @@ namespace robust::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Instances per shard of the batch lanes: a multiple of metricBlock's
+/// 8-instance tile, small enough to balance uneven per-instance costs.
+constexpr std::size_t kBatchShard = 64;
+
+/// `row` times the positive per-instance weight scale, in `buffer`; the row
+/// itself when scale == 1 (multiplying by 1.0 changes no bits).
+std::span<const double> scaledRow(std::span<const double> row, double scale,
+                                  num::Vec& buffer) {
+  if (scale == 1.0) {
+    return row;
+  }
+  ROBUST_REQUIRE(scale > 0.0,
+                 "CompiledProblem: instance scales must be positive");
+  buffer.resize(row.size());
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    buffer[k] = row[k] * scale;
+  }
+  return buffer;
+}
 
 /// Dual norm of the hyperplane normal for the closed-form distance
 /// |a.x0 - c| / ||a||_dual (dual of L2 is L2, of L1 is LInf, of LInf is L1;
@@ -324,6 +345,48 @@ void evaluateAffineRadius(const AffineFeatureView& feature,
                           weightedDenomHint);
 }
 
+void countMetricEvaluation(std::size_t pruned, std::size_t rows) {
+  static const obs::MetricId kScalar =
+      obs::counterId("core.kernel.dispatch.scalar");
+  static const obs::MetricId kAvx2 =
+      obs::counterId("core.kernel.dispatch.avx2");
+  static const obs::MetricId kSkipped =
+      obs::counterId("core.prune.rows_skipped");
+  static const obs::MetricId kEffectiveness =
+      obs::gaugeId("core.prune.effectiveness");
+  obs::addCounter(num::simd::activeTarget() == num::simd::Target::Avx2
+                      ? kAvx2
+                      : kScalar);
+  obs::addCounter(kSkipped, pruned);
+  if (rows > 0) {
+    obs::setGauge(kEffectiveness,
+                  static_cast<std::int64_t>(pruned * 100 / rows));
+  }
+}
+
+std::string toString(NormKind norm) {
+  switch (norm) {
+    case NormKind::L1:
+      return "l1";
+    case NormKind::L2:
+      return "l2";
+    case NormKind::LInf:
+      return "linf";
+    case NormKind::Weighted:
+      return "weighted";
+  }
+  return "?";
+}
+
+double combinedRobustness(std::span<const RobustnessReport> reports) {
+  ROBUST_REQUIRE(!reports.empty(), "combinedRobustness: no reports");
+  double metric = kInf;
+  for (const auto& r : reports) {
+    metric = std::min(metric, r.metric);
+  }
+  return metric;
+}
+
 CompiledProblem CompiledProblem::compile(ProblemSpec spec) {
   CompiledProblem p;
   p.features_ = std::move(spec.features);
@@ -593,13 +656,7 @@ void CompiledProblem::radiusOfInto(std::size_t index,
                               ? weightedDenom_[rowIndex_[index]]
                               : 0.0;
     if (scale != 1.0) {
-      ROBUST_REQUIRE(scale > 0.0,
-                     "CompiledProblem: instance scales must be positive");
-      workspace.scaledRow_.resize(dim_);
-      for (std::size_t k = 0; k < dim_; ++k) {
-        workspace.scaledRow_[k] = w[k] * scale;
-      }
-      w = workspace.scaledRow_;
+      w = scaledRow(w, scale, workspace.scaledRow_);
       hint = 0.0;          // recompute on the scaled row
       weightedHint = 0.0;  // likewise
     }
@@ -689,13 +746,7 @@ void CompiledProblem::radiusOfMulti(std::size_t index,
   const double* blockDual = blockDuals_.data() + row * nSub;
   num::Vec scaledDuals;
   if (scale != 1.0) {
-    ROBUST_REQUIRE(scale > 0.0,
-                   "CompiledProblem: instance scales must be positive");
-    workspace.scaledRow_.resize(dim_);
-    for (std::size_t k = 0; k < dim_; ++k) {
-      workspace.scaledRow_[k] = w[k] * scale;
-    }
-    w = workspace.scaledRow_;
+    w = scaledRow(w, scale, workspace.scaledRow_);
     // Dual norms are positively homogeneous: dual(s * a) = s * dual(a).
     scaledDuals.resize(nSub);
     for (std::size_t s = 0; s < nSub; ++s) {
@@ -829,17 +880,8 @@ void CompiledProblem::clipToFeasible(std::size_t index,
   }
 
   const PerformanceFeature& f = features_[index];
-  std::span<const double> w = rowOf(index);
-  num::Vec scaledRow;
-  if (scale != 1.0) {
-    ROBUST_REQUIRE(scale > 0.0,
-                   "CompiledProblem: instance scales must be positive");
-    scaledRow.resize(dim_);
-    for (std::size_t k = 0; k < dim_; ++k) {
-      scaledRow[k] = w[k] * scale;
-    }
-    w = scaledRow;
-  }
+  num::Vec scaled;
+  const std::span<const double> w = scaledRow(rowOf(index), scale, scaled);
 
   // Rescale coordinates so every (L2/Weighted) subspace norm becomes plain
   // L2: x~_k = t_k x_k with t_k = sqrt(w_k). Halfspace normals transform
@@ -1116,29 +1158,16 @@ void CompiledProblem::analyzeBatch(std::span<const AnalysisInstance> instances,
     static const obs::MetricId kBatches = obs::counterId("core.batches");
     obs::addCounter(kBatches);
   }
-  std::size_t workers = threads == 0 ? defaultThreadCount() : threads;
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    EvalWorkspace workspace;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = evaluate(instances[i], workspace);
-    }
-    return;
-  }
-  // One contiguous block per worker; each block reuses its own workspace
-  // and writes disjoint output slots, so results are independent of the
-  // worker count.
-  std::vector<EvalWorkspace> workspaces(workers);
-  parallelFor(
-      0, workers,
-      [&](std::size_t b) {
-        const std::size_t lo = n * b / workers;
-        const std::size_t hi = n * (b + 1) / workers;
+  // Each shard writes disjoint output slots through its worker's
+  // workspace, so results are independent of the worker count.
+  forEachShard(
+      n, kBatchShard, threads, [] { return EvalWorkspace{}; },
+      [&](std::size_t, std::size_t lo, std::size_t hi,
+          EvalWorkspace& workspace) {
         for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = evaluate(instances[i], workspaces[b]);
+          out[i] = evaluate(instances[i], workspace);
         }
-      },
-      workers);
+      });
 }
 
 std::vector<RobustnessReport> CompiledProblem::analyzeBatch(
@@ -1187,38 +1216,13 @@ MetricResult CompiledProblem::metricFromDots(const AnalysisInstance& instance,
         atOrigin = scale * dots[row] + constant;
         deff = scale * effDual_[row];
       }
-      const auto& bounds = features_[i].bounds;
-      const bool withinMin = !bounds.min || atOrigin >= *bounds.min;
-      const bool withinMax = !bounds.max || atOrigin <= *bounds.max;
-      if (!withinMin || !withinMax) {
-        radius = 0.0;  // violated at the operating point
-      } else {
-        ROBUST_REQUIRE(
-            deff > 0.0,
-            "analytic radius: impact does not depend on the parameter");
-        // Nearest-level gap; dividing by the same positive denominator is
-        // monotone, so min(g)/d carries the exact bits of min(g/d).
-        double gap = kInf;
-        if (bounds.min) {
-          gap = std::fabs(atOrigin - *bounds.min);
-        }
-        if (bounds.max) {
-          const double g2 = std::fabs(atOrigin - *bounds.max);
-          if (g2 < gap) {
-            gap = g2;
-          }
-        }
-        if (prune && result.metric < kInf &&
-            gap > result.metric * deff * (1.0 + 1e-9)) {
-          // The margin absorbs the rounding of the multiply chain, so a
-          // skipped row provably has radius strictly above the incumbent:
-          // it can never win the strict-< selection below. Skipping it
-          // changes no result bits.
-          ++pruned;
-          continue;
-        }
-        radius = gap / deff;
+      const RowRadius r = rowRadius(atOrigin, deff, features_[i].bounds,
+                                    result.metric, prune);
+      if (r.verdict == RowVerdict::Pruned) {
+        ++pruned;
+        continue;
       }
+      radius = r.radius;
     }
     if (radius < result.metric) {
       result.metric = radius;
@@ -1230,22 +1234,7 @@ MetricResult CompiledProblem::metricFromDots(const AnalysisInstance& instance,
     result.floored = true;
   }
   if (obs::enabled()) [[unlikely]] {
-    static const obs::MetricId kScalar =
-        obs::counterId("core.kernel.dispatch.scalar");
-    static const obs::MetricId kAvx2 =
-        obs::counterId("core.kernel.dispatch.avx2");
-    static const obs::MetricId kSkipped =
-        obs::counterId("core.prune.rows_skipped");
-    static const obs::MetricId kEffectiveness =
-        obs::gaugeId("core.prune.effectiveness");
-    obs::addCounter(num::simd::activeTarget() == num::simd::Target::Avx2
-                        ? kAvx2
-                        : kScalar);
-    obs::addCounter(kSkipped, pruned);
-    if (affineRows > 0) {
-      obs::setGauge(kEffectiveness,
-                    static_cast<std::int64_t>(pruned * 100 / affineRows));
-    }
+    countMetricEvaluation(pruned, affineRows);
   }
   return result;
 }
@@ -1337,23 +1326,13 @@ void CompiledProblem::analyzeBatchMetric(
   }
   const obs::Span span("core.analyzeBatchMetric");
 
-  std::size_t workers = threads == 0 ? defaultThreadCount() : threads;
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    MetricWorkspace workspace;
-    metricBlock(instances, out, 0, n, workspace, prune);
-    return;
-  }
-  // One contiguous block per worker, same partition as analyzeBatch:
-  // results are independent of the worker count.
-  std::vector<MetricWorkspace> workspaces(workers);
-  parallelFor(
-      0, workers,
-      [&](std::size_t b) {
-        metricBlock(instances, out, n * b / workers, n * (b + 1) / workers,
-                    workspaces[b], prune);
-      },
-      workers);
+  // Same dispatch as analyzeBatch: results are independent of the worker
+  // count.
+  forEachShard(
+      n, kBatchShard, threads, [] { return MetricWorkspace{}; },
+      [&](std::size_t, std::size_t lo, std::size_t hi, MetricWorkspace& ws) {
+        metricBlock(instances, out, lo, hi, ws, prune);
+      });
 }
 
 std::vector<MetricResult> CompiledProblem::analyzeBatchMetric(

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "robust/core/instance_file.hpp"
+#include "robust/core/row_radius.hpp"
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
@@ -156,35 +157,13 @@ class StreamEngine {
       if (screenRow(i, row, delta, rho)) {
         continue;
       }
-      const double atOrigin =
-          num::simd::dotBlocked(p_.rowOf(i), x) + p_.constants_[i];
-      const double deff = p_.effDual_[row];
-      const auto& bounds = p_.features_[i].bounds;
-      const bool withinMin = !bounds.min || atOrigin >= *bounds.min;
-      const bool withinMax = !bounds.max || atOrigin <= *bounds.max;
-      double radius;
-      if (!withinMin || !withinMax) {
-        radius = 0.0;  // violated at the operating point
-      } else {
-        ROBUST_REQUIRE(
-            deff > 0.0,
-            "analytic radius: impact does not depend on the parameter");
-        double gap = kInf;
-        if (bounds.min) {
-          gap = std::fabs(atOrigin - *bounds.min);
-        }
-        if (bounds.max) {
-          const double g2 = std::fabs(atOrigin - *bounds.max);
-          if (g2 < gap) {
-            gap = g2;
-          }
-        }
-        if (opt_.prune && candidate < kInf &&
-            gap > candidate * deff * (1.0 + 1e-9)) {
-          continue;  // same bit-neutral prune as metricFromDots
-        }
-        radius = gap / deff;
+      const RowRadius r = rowRadius(
+          num::simd::dotBlocked(p_.rowOf(i), x) + p_.constants_[i],
+          p_.effDual_[row], p_.features_[i].bounds, candidate, opt_.prune);
+      if (r.verdict == RowVerdict::Pruned) {
+        continue;
       }
+      const double radius = r.radius;
       if (radius < candidate) {
         candidate = radius;
         binding = i;
@@ -374,78 +353,34 @@ StreamResult StreamEngine::run(const InstanceFileReader* reader,
     obs::maxGauge(kQueue, static_cast<std::int64_t>(nShards));
   }
 
+  // Dynamic shard tickets over a fixed worker set: any claim order is fine
+  // because each shard writes only its own outcome slot and the shared
+  // incumbent is a monotone minimum of exact metrics.
   std::vector<ShardOutcome> outcomes(static_cast<std::size_t>(nShards));
   SharedMin shared;
-  auto processShard = [&](std::uint64_t s, Arena& arena) {
-    const std::uint64_t first = s * shard;
-    const auto count =
-        static_cast<std::size_t>(std::min<std::uint64_t>(shard,
-                                                         total - first));
-    const std::span<const double> vals =
-        reader != nullptr
-            ? reader->read(first, count, arena.view)
-            : values.subspan(static_cast<std::size_t>(first) * dim,
-                             count * dim);
-    scanShard(vals, first, count, arena,
-              outcomes[static_cast<std::size_t>(s)], shared, validate,
-              source);
-  };
-
-  std::size_t workers =
-      opt_.threads == 0 ? defaultThreadCount() : opt_.threads;
-  workers = static_cast<std::size_t>(
-      std::min<std::uint64_t>(workers, nShards));
-  if (workers <= 1) {
-    Arena arena;
-    for (std::uint64_t s = 0; s < nShards; ++s) {
-      processShard(s, arena);
-    }
-  } else {
-    // Dynamic shard tickets over a fixed worker set: any claim order is
-    // fine because each shard writes only its own outcome slot and the
-    // shared incumbent is a monotone minimum of exact metrics. A worker
-    // failure is captured per shard and the lowest-index failure is
-    // rethrown after the join — deterministic error surfacing, and a
-    // throw can never tear down the pool mid-task.
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(nShards));
-    std::atomic<std::uint64_t> ticket{0};
-    std::atomic<std::int64_t> inflight{0};
-    ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.submit([&] {
-        Arena arena;
-        for (;;) {
-          const std::uint64_t s =
-              ticket.fetch_add(1, std::memory_order_relaxed);
-          if (s >= nShards) {
-            return;
-          }
-          if (obs::enabled()) [[unlikely]] {
-            static const obs::MetricId kInflight =
-                obs::gaugeId("core.stream.inflight_high_water");
-            obs::maxGauge(kInflight,
-                          inflight.fetch_add(1, std::memory_order_relaxed) +
-                              1);
-          } else {
-            inflight.fetch_add(1, std::memory_order_relaxed);
-          }
-          try {
-            processShard(s, arena);
-          } catch (...) {
-            errors[static_cast<std::size_t>(s)] = std::current_exception();
-          }
-          inflight.fetch_sub(1, std::memory_order_relaxed);
+  std::atomic<std::int64_t> inflight{0};
+  forEachShard(
+      static_cast<std::size_t>(total), static_cast<std::size_t>(shard),
+      opt_.threads, [] { return Arena{}; },
+      [&](std::size_t s, std::size_t first, std::size_t last, Arena& arena) {
+        const std::int64_t now =
+            inflight.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (obs::enabled()) [[unlikely]] {
+          static const obs::MetricId kInflight =
+              obs::gaugeId("core.stream.inflight_high_water");
+          obs::maxGauge(kInflight, now);
         }
+        const struct Leave {
+          std::atomic<std::int64_t>& n;
+          ~Leave() { n.fetch_sub(1, std::memory_order_relaxed); }
+        } leave{inflight};
+        const std::size_t count = last - first;
+        const std::span<const double> vals =
+            reader != nullptr ? reader->read(first, count, arena.view)
+                              : values.subspan(first * dim, count * dim);
+        scanShard(vals, first, count, arena, outcomes[s], shared, validate,
+                  source);
       });
-    }
-    pool.wait();
-    for (const std::exception_ptr& err : errors) {
-      if (err) {
-        std::rethrow_exception(err);
-      }
-    }
-  }
 
   // Fixed-order pairwise reduction over the shard winners. Every combine
   // keeps the lower-shard side on ties, so the tree computes the same

@@ -42,33 +42,34 @@ num::Vec randomDisplacement(Pcg32& rng, std::size_t n, double radius,
   return num::scale(d, target / length);
 }
 
+bool allWithinBounds(const CompiledProblem& problem,
+                     std::span<const double> point) {
+  for (const auto& f : problem.features()) {
+    if (!f.bounds.contains(f.impact.evaluate(point))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-ValidationResult validateRadius(const RobustnessAnalyzer& analyzer,
+ValidationResult validateRadius(const CompiledProblem& problem,
                                 double radius,
                                 const ValidationOptions& options) {
   ROBUST_REQUIRE(radius >= 0.0, "validateRadius: negative radius");
   ROBUST_REQUIRE(options.samples > 0, "validateRadius: samples must be > 0");
   ROBUST_REQUIRE(options.norm != NormKind::Weighted ||
                      options.normWeights.size() ==
-                         analyzer.parameter().origin.size(),
+                         problem.parameter().origin.size(),
                  "validateRadius: weighted norm requires one weight per "
                  "perturbation component");
 
-  const auto& origin = analyzer.parameter().origin;
+  const auto& origin = problem.parameter().origin;
   const std::size_t n = origin.size();
   Pcg32 rng(options.seed, /*stream=*/43);
 
   ValidationResult result;
-  auto allWithinBounds = [&](std::span<const double> point) {
-    for (const auto& f : analyzer.features()) {
-      if (!f.bounds.contains(f.impact.evaluate(point))) {
-        return false;
-      }
-    }
-    return true;
-  };
-
   for (int s = 0; s < options.samples; ++s) {
     // Inside the claimed ball.
     num::Vec inside = num::add(
@@ -76,7 +77,7 @@ ValidationResult validateRadius(const RobustnessAnalyzer& analyzer,
         randomDisplacement(rng, n, radius, options.norm,
                            options.normWeights));
     ++result.samplesInside;
-    if (!allWithinBounds(inside)) {
+    if (!allWithinBounds(problem, inside)) {
       ++result.violationsInside;
     }
     // Just beyond the claimed ball (tightness probe): fixed norm
@@ -89,7 +90,7 @@ ValidationResult validateRadius(const RobustnessAnalyzer& analyzer,
           origin,
           num::scale(d, radius * options.boundaryMargin / length));
       ++result.samplesAtBoundary;
-      if (!allWithinBounds(beyond)) {
+      if (!allWithinBounds(problem, beyond)) {
         ++result.violationsAtBoundary;
       }
     }
@@ -97,24 +98,14 @@ ValidationResult validateRadius(const RobustnessAnalyzer& analyzer,
   return result;
 }
 
-
 std::vector<ViolationCurvePoint> violationProbabilityCurve(
-    const RobustnessAnalyzer& analyzer, std::span<const double> radii,
+    const CompiledProblem& problem, std::span<const double> radii,
     const ValidationOptions& options) {
   ROBUST_REQUIRE(options.samples > 0,
                  "violationProbabilityCurve: samples must be > 0");
-  const auto& origin = analyzer.parameter().origin;
+  const auto& origin = problem.parameter().origin;
   const std::size_t n = origin.size();
   Pcg32 rng(options.seed, /*stream=*/53);
-
-  auto allWithinBounds = [&](std::span<const double> point) {
-    for (const auto& f : analyzer.features()) {
-      if (!f.bounds.contains(f.impact.evaluate(point))) {
-        return false;
-      }
-    }
-    return true;
-  };
 
   std::vector<ViolationCurvePoint> curve;
   curve.reserve(radii.size());
@@ -131,7 +122,7 @@ std::vector<ViolationCurvePoint> violationProbabilityCurve(
       }
       const num::Vec point =
           num::add(origin, num::scale(d, radius / length));
-      violations += !allWithinBounds(point);
+      violations += !allWithinBounds(problem, point);
     }
     curve.push_back(ViolationCurvePoint{
         radius,

@@ -1,10 +1,7 @@
 #include "robust/curve/curve.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <exception>
 #include <limits>
 #include <list>
 #include <mutex>
@@ -14,6 +11,7 @@
 
 #include "robust/net/wire.hpp"
 #include "robust/numeric/simd.hpp"
+#include "robust/obs/json_lite.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/random/distributions.hpp"
 #include "robust/util/error.hpp"
@@ -47,21 +45,6 @@ double blockNorm(core::NormKind kind, std::span<const double> x,
     }
   }
   return 0.0;
-}
-
-/// JSON-safe number rendering: %.17g round-trip for finite values, the
-/// extreme finite double for infinities (JSON has no infinity literal),
-/// 0 for NaN. Matches the run-report writer's formatting.
-void appendJsonNumber(std::ostream& out, double v) {
-  if (std::isnan(v)) {
-    v = 0.0;
-  } else if (std::isinf(v)) {
-    v = v > 0.0 ? std::numeric_limits<double>::max()
-                : std::numeric_limits<double>::lowest();
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out << buf;
 }
 
 }  // namespace
@@ -314,61 +297,13 @@ class CurveEngine {
     return floorRadius ? std::floor(hi) : hi;
   }
 
-  /// Shard dispatcher shared by both lanes. Samples land in disjoint
+  /// Counts one finished shard (both lanes). Samples land in disjoint
   /// output slots and each is a pure function of its substream, so the
-  /// result is identical for every worker count and shard schedule; the
-  /// dynamic ticket only balances load. Per-shard exceptions are captured
-  /// and the lowest shard index rethrows after the pool drains.
-  template <typename MakeScratch, typename Body>
-  static void forEachSample(std::size_t n, std::size_t shardSize,
-                            std::size_t threads, MakeScratch makeScratch,
-                            Body body) {
-    shardSize = std::max<std::size_t>(1, shardSize);
-    const std::size_t nShards = (n + shardSize - 1) / shardSize;
-    std::size_t workers = threads == 0 ? defaultThreadCount() : threads;
-    workers = std::min(workers, nShards);
-    auto runShard = [&](std::size_t s, auto& scratch) {
-      const std::size_t lo = s * shardSize;
-      const std::size_t hi = std::min(n, lo + shardSize);
-      for (std::size_t i = lo; i < hi; ++i) {
-        body(i, scratch);
-      }
-      if (obs::enabled()) [[unlikely]] {
-        static const obs::MetricId kShards = obs::counterId("curve.shards");
-        obs::addCounter(kShards);
-      }
-    };
-    if (workers <= 1) {
-      auto scratch = makeScratch();
-      for (std::size_t s = 0; s < nShards; ++s) {
-        runShard(s, scratch);
-      }
-      return;
-    }
-    std::atomic<std::size_t> ticket{0};
-    std::vector<std::exception_ptr> errors(nShards);
-    ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.submit([&] {
-        auto scratch = makeScratch();
-        for (;;) {
-          const std::size_t s = ticket.fetch_add(1, std::memory_order_relaxed);
-          if (s >= nShards) {
-            break;
-          }
-          try {
-            runShard(s, scratch);
-          } catch (...) {
-            errors[s] = std::current_exception();
-          }
-        }
-      });
-    }
-    pool.wait();
-    for (auto& e : errors) {
-      if (e) {
-        std::rethrow_exception(e);
-      }
+  /// result is identical for every worker count and shard schedule.
+  static void countShard() {
+    if (obs::enabled()) [[unlikely]] {
+      static const obs::MetricId kShards = obs::counterId("curve.shards");
+      obs::addCounter(kShards);
     }
   }
 
@@ -389,24 +324,26 @@ class CurveEngine {
         struct Scratch {
           std::vector<double> dir;
           std::vector<double> slopes;
-          std::uint64_t rowsVisited = 0;
         };
-        forEachSample(
+        forEachShard(
             o.samples, o.shardSamples, o.threads,
             [&] { return Scratch{std::vector<double>(plan.dim),
-                                 std::vector<double>(8), 0}; },
-            [&](std::size_t i, Scratch& scratch) {
-              sampleDirection(p, o.seed, i, scratch.dir);
-              r.radii[i] = criticalRadiusFast(plan, scratch.dir,
-                                              scratch.slopes.data(), o.prune,
-                                              scratch.rowsVisited);
-              if (obs::enabled() &&
-                  (i + 1) % 1024 == 0) [[unlikely]] {
+                                 std::vector<double>(8)}; },
+            [&](std::size_t, std::size_t lo, std::size_t hi,
+                Scratch& scratch) {
+              std::uint64_t rowsVisited = 0;
+              for (std::size_t i = lo; i < hi; ++i) {
+                sampleDirection(p, o.seed, i, scratch.dir);
+                r.radii[i] = criticalRadiusFast(plan, scratch.dir,
+                                                scratch.slopes.data(),
+                                                o.prune, rowsVisited);
+              }
+              if (obs::enabled()) [[unlikely]] {
                 static const obs::MetricId kRows =
                     obs::counterId("curve.rows_visited");
-                obs::addCounter(kRows, scratch.rowsVisited);
-                scratch.rowsVisited = 0;
+                obs::addCounter(kRows, rowsVisited);
               }
+              countShard();
             });
       }
     } else {
@@ -427,19 +364,22 @@ class CurveEngine {
         std::vector<double> dir;
         num::Vec point;
       };
-      forEachSample(
+      forEachShard(
           o.samples, o.shardSamples, o.threads,
           [&] { return Scratch{std::vector<double>(p.dim_),
                                num::Vec(p.dim_)}; },
-          [&](std::size_t i, Scratch& scratch) {
-            sampleDirection(p, o.seed, i, scratch.dir);
-            r.radii[i] = criticalRadiusFull(p, scratch.dir, scratch.point,
-                                            scale, floorRadius);
-            if (obs::enabled()) [[unlikely]] {
-              static const obs::MetricId kFull =
-                  obs::counterId("curve.fallback_samples");
-              obs::addCounter(kFull);
+          [&](std::size_t, std::size_t lo, std::size_t hi, Scratch& scratch) {
+            for (std::size_t i = lo; i < hi; ++i) {
+              sampleDirection(p, o.seed, i, scratch.dir);
+              r.radii[i] = criticalRadiusFull(p, scratch.dir, scratch.point,
+                                              scale, floorRadius);
+              if (obs::enabled()) [[unlikely]] {
+                static const obs::MetricId kFull =
+                    obs::counterId("curve.fallback_samples");
+                obs::addCounter(kFull);
+              }
             }
+            countShard();
           });
     }
 
@@ -628,11 +568,11 @@ std::string curveSectionJson(const CurveResult& result) {
   out << ", \"finite\": " << result.finiteRadii;
   out << ", \"seed\": " << result.seed;
   out << ", \"confidence\": ";
-  appendJsonNumber(out, result.confidence);
+  out << obs::json::number(result.confidence);
   out << ", \"dkw_epsilon\": ";
-  appendJsonNumber(out, result.dkwEpsilon);
+  out << obs::json::number(result.dkwEpsilon);
   out << ", \"rho\": ";
-  appendJsonNumber(out, result.rho);
+  out << obs::json::number(result.rho);
   out << ", \"fast_lane\": " << (result.fastLane ? "true" : "false");
   out << ", \"cache_hit\": " << (result.cacheHit ? "true" : "false");
   out << ", \"points\": [";
@@ -640,13 +580,13 @@ std::string curveSectionJson(const CurveResult& result) {
     const CurvePoint& p = result.points[i];
     out << (i == 0 ? "" : ", ");
     out << "{\"radius\": ";
-    appendJsonNumber(out, p.radius);
+    out << obs::json::number(p.radius);
     out << ", \"probability\": ";
-    appendJsonNumber(out, p.probability);
+    out << obs::json::number(p.probability);
     out << ", \"lower\": ";
-    appendJsonNumber(out, p.lower);
+    out << obs::json::number(p.lower);
     out << ", \"upper\": ";
-    appendJsonNumber(out, p.upper);
+    out << obs::json::number(p.upper);
     out << '}';
   }
   out << "]}";

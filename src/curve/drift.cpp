@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "robust/core/row_radius.hpp"
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/util/error.hpp"
@@ -45,20 +46,12 @@ void DriftTracker::recomputeRho() {
     const std::size_t row = p.rowIndex_[f];
     const double value = dots_[row] + p.constants_[f];
     const auto& bounds = p.features_[f].bounds;
-    double gap = kInf;
-    if (bounds.max) {
-      gap = std::min(gap, *bounds.max - value);
+    const double deff = p.effDual_[row];
+    if (!(deff > 0.0) && bounds.contains(value)) {
+      continue;  // constant feature inside its bounds: never binds
     }
-    if (bounds.min) {
-      gap = std::min(gap, value - *bounds.min);
-    }
-    double radius;
-    if (gap < 0.0) {
-      radius = 0.0;  // origin already violates this feature's bound
-    } else {
-      const double deff = p.effDual_[row];
-      radius = deff > 0.0 ? gap / deff : kInf;
-    }
+    const double radius =
+        core::rowRadius(value, deff, bounds, kInf, /*prune=*/false).radius;
     if (radius < best) {
       best = radius;
       bestFeature = f;

@@ -6,7 +6,7 @@
 #include <memory>
 #include <utility>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/row_radius.hpp"
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
@@ -17,6 +17,9 @@ namespace robust::hiperd {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Mappings per analyzeMappings shard.
+constexpr std::size_t kMappingShard = 16;
 
 /// Dual norm of a weight row under the compiled norm, on the blocked
 /// kernels (the metric lane's arithmetic; the full lane keeps the legacy
@@ -198,6 +201,42 @@ const num::Vec& CompiledScenario::computeCoeffs(std::size_t app,
   return scenario_->compute[app][machine].coeffs();
 }
 
+void CompiledScenario::loadFactors(const sched::Mapping& mapping,
+                                   ScenarioWorkspace& workspace) const {
+  const std::size_t apps = mapping.apps();
+  workspace.counts_.assign(scenario_->machines, 0);
+  for (std::size_t i = 0; i < apps; ++i) {
+    ++workspace.counts_[mapping.machineOf(i)];
+  }
+  workspace.factors_.resize(apps);
+  for (std::size_t i = 0; i < apps; ++i) {
+    workspace.factors_[i] =
+        multitaskFactor(workspace.counts_[mapping.machineOf(i)]);
+  }
+}
+
+void CompiledScenario::assembleLatencyRow(const Path& path,
+                                          const sched::Mapping& mapping,
+                                          ScenarioWorkspace& workspace) const {
+  const std::size_t machines = scenario_->machines;
+  workspace.row_.assign(sensors_, 0.0);
+  for (std::size_t app : path.apps) {
+    // Skipping an all-zero contribution is bit-safe: adding 1.0 * 0.0 (or
+    // factor * 0.0) never changes an accumulated component's bits here.
+    if (computeZero_[app * machines + mapping.machineOf(app)]) {
+      continue;
+    }
+    num::axpy(workspace.factors_[app],
+              computeCoeffs(app, mapping.machineOf(app)), workspace.row_);
+  }
+  for (std::size_t eid : path.edges) {
+    if (commZero_[eid]) {
+      continue;
+    }
+    num::axpy(1.0, scenario_->comm[eid].coeffs(), workspace.row_);
+  }
+}
+
 const core::RobustnessReport& CompiledScenario::analyze(
     const sched::Mapping& mapping, ScenarioWorkspace& workspace) const {
   const auto& graph = scenario_->graph;
@@ -216,20 +255,13 @@ const core::RobustnessReport& CompiledScenario::analyze(
       obs::addCounter(kFallback);
     }
     workspace.report_ =
-        HiperdSystem(*scenario_, mapping).toAnalyzer(options_).analyze();
+        core::CompiledProblem::compile(
+            HiperdSystem(*scenario_, mapping).toSpec(options_))
+            .evaluate();
     return workspace.report_;
   }
 
-  // Multitasking factors for this mapping.
-  workspace.counts_.assign(machines, 0);
-  for (std::size_t i = 0; i < apps; ++i) {
-    ++workspace.counts_[mapping.machineOf(i)];
-  }
-  workspace.factors_.resize(apps);
-  for (std::size_t i = 0; i < apps; ++i) {
-    workspace.factors_[i] =
-        multitaskFactor(workspace.counts_[mapping.machineOf(i)]);
-  }
+  loadFactors(mapping, workspace);
 
   core::RobustnessReport& report = workspace.report_;
   auto& radii = report.radii;
@@ -287,23 +319,7 @@ const core::RobustnessReport& CompiledScenario::analyze(
   // order (per-app axpy with the multitask factor, then per-edge axpy), so
   // the floating-point sums match the legacy derivation bit for bit.
   for (std::size_t k = 0; k < graph.paths().size(); ++k) {
-    const Path& path = graph.paths()[k];
-    workspace.row_.assign(sensors_, 0.0);
-    for (std::size_t app : path.apps) {
-      // Skipping an all-zero contribution is bit-safe: adding 1.0 * 0.0 (or
-      // factor * 0.0) never changes an accumulated component's bits here.
-      if (computeZero_[app * machines + mapping.machineOf(app)]) {
-        continue;
-      }
-      num::axpy(workspace.factors_[app],
-                computeCoeffs(app, mapping.machineOf(app)), workspace.row_);
-    }
-    for (std::size_t eid : path.edges) {
-      if (commZero_[eid]) {
-        continue;
-      }
-      num::axpy(1.0, scenario_->comm[eid].coeffs(), workspace.row_);
-    }
+    assembleLatencyRow(graph.paths()[k], mapping, workspace);
     if (num::norm2(workspace.row_) == 0.0) {
       continue;  // path latency does not depend on lambda
     }
@@ -355,16 +371,7 @@ core::MetricResult CompiledScenario::analyzeMetric(
     return core::MetricResult{full.metric, full.bindingFeature, full.floored};
   }
 
-  // Multitasking factors for this mapping (same derivation as analyze).
-  workspace.counts_.assign(machines, 0);
-  for (std::size_t i = 0; i < apps; ++i) {
-    ++workspace.counts_[mapping.machineOf(i)];
-  }
-  workspace.factors_.resize(apps);
-  for (std::size_t i = 0; i < apps; ++i) {
-    workspace.factors_[i] =
-        multitaskFactor(workspace.counts_[mapping.machineOf(i)]);
-  }
+  loadFactors(mapping, workspace);
 
   core::MetricResult result;
   result.metric = kInf;
@@ -394,24 +401,16 @@ core::MetricResult CompiledScenario::analyzeMetric(
     const double factor = workspace.factors_[i];
     const double dot = computeDot_[i * machines + m];
     const double dual = computeDual_[i * machines + m];
-    const double atOrigin = factor == 1.0 ? dot : factor * dot;
-    const double deff = factor == 1.0 ? dual : factor * dual;
-    const double bound = throughputBound_[i];
-    if (atOrigin > bound) {
-      note(0.0, slot);  // violated at the operating point
-      continue;
-    }
-    ROBUST_REQUIRE(deff > 0.0,
-                   "analytic radius: impact does not depend on the parameter");
-    const double gap = std::fabs(atOrigin - bound);
-    if (prune && result.metric < kInf &&
-        gap > result.metric * deff * (1.0 + 1e-9)) {
-      // Provable loser under the strict-< selection (the margin absorbs
-      // the comparison rounding): skipping it changes no result bits.
+    const core::RowRadius r = core::rowRadius(
+        factor == 1.0 ? dot : factor * dot,
+        factor == 1.0 ? dual : factor * dual,
+        core::ToleranceBounds::atMost(throughputBound_[i]), result.metric,
+        prune);
+    if (r.verdict == core::RowVerdict::Pruned) {
       ++pruned;
       continue;
     }
-    note(gap / deff, slot);
+    note(r.radius, slot);
   }
 
   // Communication (Tn) lane: mapping-independent, pre-reduced at compile
@@ -427,11 +426,14 @@ core::MetricResult CompiledScenario::analyzeMetric(
   // (a zero part-dual sum means every contributing part is zero, exactly
   // matching analyze's norm2(row) == 0 skip) and bound the row's radius
   // from below: gap / partDualSum <= gap / ||row||_dual by the triangle
-  // inequality. Rows surviving the bound are assembled exactly like
+  // inequality. Otherwise (cancellation possible) every row is assembled
+  // and nothing is prescreened, so the prune flag provably cannot change
+  // results there either. Surviving rows are assembled exactly like
   // analyze and measured with the blocked kernels.
   for (std::size_t k = 0; k < graph.paths().size(); ++k) {
     const Path& path = graph.paths()[k];
     const double limit = scenario_->latencyLimits[k];
+    std::size_t slot = 0;
     if (latencyPruneSafe_) {
       double dotSum = 0.0;
       double magSum = 0.0;
@@ -458,7 +460,7 @@ core::MetricResult CompiledScenario::analyzeMetric(
       if (partDualSum == 0.0) {
         continue;  // assembled row is provably all-zero: no slot
       }
-      const std::size_t slot = used++;
+      slot = used++;
       if (prune && result.metric < kInf) {
         // Absolute slack absorbing the decomposed dot's rounding relative
         // to its magnitude sum; the bound must also prove the assembled
@@ -471,62 +473,20 @@ core::MetricResult CompiledScenario::analyzeMetric(
           continue;
         }
       }
-      workspace.row_.assign(sensors_, 0.0);
-      for (std::size_t app : path.apps) {
-        if (computeZero_[app * machines + mapping.machineOf(app)]) {
-          continue;
-        }
-        num::axpy(workspace.factors_[app],
-                  computeCoeffs(app, mapping.machineOf(app)), workspace.row_);
-      }
-      for (std::size_t eid : path.edges) {
-        if (commZero_[eid]) {
-          continue;
-        }
-        num::axpy(1.0, scenario_->comm[eid].coeffs(), workspace.row_);
-      }
-      const double atOrigin = num::simd::dotBlocked(workspace.row_, origin);
-      if (atOrigin > limit) {
-        note(0.0, slot);
-        continue;
-      }
-      const double deff = blockedDual(workspace.row_, options_);
-      ROBUST_REQUIRE(
-          deff > 0.0,
-          "analytic radius: impact does not depend on the parameter");
-      note(std::fabs(atOrigin - limit) / deff, slot);
-    } else {
-      // Cancellation possible: assemble every row; no pruning (so the
-      // prune flag provably cannot change results here either).
-      workspace.row_.assign(sensors_, 0.0);
-      for (std::size_t app : path.apps) {
-        if (computeZero_[app * machines + mapping.machineOf(app)]) {
-          continue;
-        }
-        num::axpy(workspace.factors_[app],
-                  computeCoeffs(app, mapping.machineOf(app)), workspace.row_);
-      }
-      for (std::size_t eid : path.edges) {
-        if (commZero_[eid]) {
-          continue;
-        }
-        num::axpy(1.0, scenario_->comm[eid].coeffs(), workspace.row_);
-      }
+    }
+    assembleLatencyRow(path, mapping, workspace);
+    if (!latencyPruneSafe_) {
       if (num::simd::normInfBlocked(workspace.row_) == 0.0) {
         continue;  // exactly analyze's norm2(row) == 0 skip
       }
-      const std::size_t slot = used++;
-      const double atOrigin = num::simd::dotBlocked(workspace.row_, origin);
-      if (atOrigin > limit) {
-        note(0.0, slot);
-        continue;
-      }
-      const double deff = blockedDual(workspace.row_, options_);
-      ROBUST_REQUIRE(
-          deff > 0.0,
-          "analytic radius: impact does not depend on the parameter");
-      note(std::fabs(atOrigin - limit) / deff, slot);
+      slot = used++;
     }
+    note(core::rowRadius(num::simd::dotBlocked(workspace.row_, origin),
+                         blockedDual(workspace.row_, options_),
+                         core::ToleranceBounds::atMost(limit), kInf,
+                         /*prune=*/false)
+             .radius,
+         slot);
   }
 
   ROBUST_REQUIRE(used > 0, "CompiledScenario: at least one feature required");
@@ -537,21 +497,8 @@ core::MetricResult CompiledScenario::analyzeMetric(
   if (obs::enabled()) [[unlikely]] {
     static const obs::MetricId kMetric =
         obs::counterId("hiperd.analyze_metric");
-    static const obs::MetricId kScalar =
-        obs::counterId("core.kernel.dispatch.scalar");
-    static const obs::MetricId kAvx2 =
-        obs::counterId("core.kernel.dispatch.avx2");
-    static const obs::MetricId kSkipped =
-        obs::counterId("core.prune.rows_skipped");
-    static const obs::MetricId kEffectiveness =
-        obs::gaugeId("core.prune.effectiveness");
     obs::addCounter(kMetric);
-    obs::addCounter(num::simd::activeTarget() == num::simd::Target::Avx2
-                        ? kAvx2
-                        : kScalar);
-    obs::addCounter(kSkipped, pruned);
-    obs::setGauge(kEffectiveness,
-                  static_cast<std::int64_t>(pruned * 100 / used));
+    core::countMetricEvaluation(pruned, used);
   }
   return result;
 }
@@ -577,28 +524,16 @@ std::vector<core::RobustnessReport> CompiledScenario::analyzeMappings(
     return out;
   }
   const obs::Span span("hiperd.analyzeMappings");
-  std::size_t workers = threads == 0 ? defaultThreadCount() : threads;
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    ScenarioWorkspace workspace;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = analyze(mappings[i], workspace);
-    }
-    return out;
-  }
-  // One contiguous block per worker with a dedicated workspace; output
-  // slots are disjoint, so results are independent of the worker count.
-  std::vector<ScenarioWorkspace> workspaces(workers);
-  parallelFor(
-      0, workers,
-      [&](std::size_t b) {
-        const std::size_t lo = n * b / workers;
-        const std::size_t hi = n * (b + 1) / workers;
+  // Disjoint output slots, one workspace per worker: results are
+  // independent of the worker count.
+  forEachShard(
+      n, kMappingShard, threads, [] { return ScenarioWorkspace{}; },
+      [&](std::size_t, std::size_t lo, std::size_t hi,
+          ScenarioWorkspace& workspace) {
         for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = analyze(mappings[i], workspaces[b]);
+          out[i] = analyze(mappings[i], workspace);
         }
-      },
-      workers);
+      });
   return out;
 }
 

@@ -26,27 +26,21 @@ Fig4Result runFig4(const Fig4Options& options) {
 
   // The robustness analysis shares one compiled scenario (the DAG-derived
   // structure is mapping-independent); only the slack metric still needs a
-  // per-mapping HiperdSystem. One contiguous block of mappings per worker,
-  // each with its own reusable workspace, keeps results bit-identical for
+  // per-mapping HiperdSystem. Every row has its own output slot and every
+  // worker its own reusable workspace, so results are bit-identical for
   // every thread count.
   const CompiledScenario compiled = scenario.compile();
   result.rows.resize(options.mappings);
-  const std::size_t n = options.mappings;
-  std::size_t workers =
-      options.threads == 0 ? defaultThreadCount() : options.threads;
-  workers = std::min(workers, n);
-  std::vector<ScenarioWorkspace> workspaces(std::max<std::size_t>(workers, 1));
-  parallelFor(
-      0, workers,
-      [&](std::size_t b) {
-        const std::size_t lo = n * b / workers;
-        const std::size_t hi = n * (b + 1) / workers;
+  forEachShard(
+      options.mappings, /*shardSize=*/16, options.threads,
+      [] { return ScenarioWorkspace{}; },
+      [&](std::size_t, std::size_t lo, std::size_t hi,
+          ScenarioWorkspace& workspace) {
         for (std::size_t m = lo; m < hi; ++m) {
           const HiperdSystem system(scenario, result.mappings[m]);
           Fig4Row row;
           row.slack = system.slack();
-          const auto& report = compiled.analyze(result.mappings[m],
-                                                workspaces[b]);
+          const auto& report = compiled.analyze(result.mappings[m], workspace);
           row.robustness =
               std::isfinite(report.metric) ? report.metric : -1.0;
           const auto& binding = report.radii[report.bindingFeature];
@@ -54,8 +48,7 @@ Fig4Result runFig4(const Fig4Options& options) {
           row.lambdaStar = binding.boundaryPoint;
           result.rows[m] = row;
         }
-      },
-      workers);
+      });
   return result;
 }
 

@@ -147,8 +147,7 @@ double HiperdSystem::slack() const {
   return slackValue;
 }
 
-core::RobustnessAnalyzer HiperdSystem::toAnalyzer(
-    core::AnalyzerOptions options) const {
+core::ProblemSpec HiperdSystem::toSpec(core::AnalyzerOptions options) const {
   const auto& graph = scenario_.graph;
   std::vector<core::PerformanceFeature> features;
 
@@ -210,8 +209,8 @@ core::RobustnessAnalyzer HiperdSystem::toAnalyzer(
         }
         return core::ImpactFunction::affine(std::move(weights), 0.0);
       }
-      // General case: capture this system by reference (the analyzer's
-      // lifetime is bounded by the system's in all call sites; documented).
+      // General case: capture this system by reference (the compiled
+      // problem must not outlive the system; documented on toSpec).
       const std::size_t pathIndex = k;
       return core::ImpactFunction::callable(
           [this, pathIndex](std::span<const double> lambda) {
@@ -240,12 +239,13 @@ core::RobustnessAnalyzer HiperdSystem::toAnalyzer(
   spec.features = std::move(features);
   spec.options = options;
   spec.subspaces.push_back(std::move(lambda));
-  return core::RobustnessAnalyzer(std::move(spec));
+  return spec;
 }
 
 core::RobustnessReport HiperdSystem::analyze(
     core::AnalyzerOptions options) const {
-  return toAnalyzer(options).analyze();
+  return core::CompiledProblem::compile(toSpec(std::move(options)))
+      .evaluate();
 }
 
 }  // namespace robust::hiperd

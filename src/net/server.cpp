@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -35,6 +34,7 @@
 #include <vector>
 
 #include "robust/obs/flight.hpp"
+#include "robust/obs/json_lite.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/report.hpp"
 #include "robust/util/error.hpp"
@@ -92,29 +92,6 @@ const char* frameFlightName(FrameType type) noexcept {
       return "robustd.frame.trace_dump";
     default:
       return "robustd.frame.other";
-  }
-}
-
-/// JSON string escaping for the STATS document (tenant names are
-/// printable ASCII by wire contract, but stay safe anyway).
-void jsonEscape(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
 }
 
@@ -1002,12 +979,6 @@ struct Server::Impl {
     out += '}';
   }
 
-  static std::string jsonDouble(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-  }
-
   /// The robust.stats document. Runs on the IO thread, which owns the
   /// sessions and the tenant ledger, so the snapshot is internally
   /// consistent: every completed batch is either in the counters or not
@@ -1059,7 +1030,7 @@ struct Server::Impl {
     out += ",\"pool_busy\":";
     out += std::to_string(poolBusy);
     out += ",\"virtual_time_floor\":";
-    out += jsonDouble(vtFloor);
+    out += obs::json::number(vtFloor);
     out += '}';
 
     out += ",\"cache\":{\"hits\":";
@@ -1106,7 +1077,7 @@ struct Server::Impl {
       }
       firstTenant = false;
       out += '"';
-      jsonEscape(out, name);
+      out += obs::json::escape(name);
       out += "\":{\"sessions\":";
       out += std::to_string(totals.sessions);
       out += ",\"frames\":";
@@ -1128,9 +1099,9 @@ struct Server::Impl {
       out += ",\"rejects_total\":";
       out += std::to_string(rejectsTotal);
       out += ",\"virtual_time\":";
-      out += jsonDouble(totals.virtualTime);
+      out += obs::json::number(totals.virtualTime);
       out += ",\"charged_cost\":";
-      out += jsonDouble(totals.chargedCost);
+      out += obs::json::number(totals.chargedCost);
       out += ",\"latency\":{";
       appendDigest(out, "analyze", totals.analyzeLatency);
       out += ',';

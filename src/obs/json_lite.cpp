@@ -1,12 +1,57 @@
 #include "robust/obs/json_lite.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace robust::obs::json {
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string number(double v) {
+  if (std::isnan(v)) {
+    v = 0.0;
+  } else if (std::isinf(v)) {
+    v = v > 0.0 ? std::numeric_limits<double>::max()
+                : std::numeric_limits<double>::lowest();
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
 
 const Value* Value::find(std::string_view key) const noexcept {
   if (kind != Kind::Object) {

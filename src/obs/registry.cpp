@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "robust/obs/flight.hpp"
+#include "robust/obs/json_lite.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
 
@@ -508,38 +509,20 @@ void resetMetrics() noexcept {
 
 namespace {
 
+/// Nanoseconds as microseconds with nanosecond precision ("12.345"):
+/// deterministic trace-event formatting.
+std::string micros(std::int64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
+                static_cast<long long>(ns / 1000),
+                static_cast<long long>(ns % 1000));
+  return buf;
+}
+
 std::int64_t steadyNowNanos() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// JSON string escaping for span names (names are literals, but stay safe).
-void writeEscaped(std::ostream& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -610,7 +593,6 @@ void writeTrace(std::ostream& out) {
 
   out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
-  char buf[64];
   for (std::size_t t = 0; t < threads.size(); ++t) {
     for (const TraceEvent& e : threads[t].events) {
       if (!first) {
@@ -618,17 +600,10 @@ void writeTrace(std::ostream& out) {
       }
       first = false;
       out << "{\"name\":\"";
-      writeEscaped(out, e.name);
+      out << json::escape(e.name);
       out << "\",\"cat\":\"robust\",\"ph\":\"X\",\"pid\":1,\"tid\":" << (t + 1);
-      // Microseconds with nanosecond precision: deterministic formatting.
-      std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                    static_cast<long long>(e.startNs / 1000),
-                    static_cast<long long>(e.startNs % 1000));
-      out << ",\"ts\":" << buf;
-      std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                    static_cast<long long>(e.durationNs / 1000),
-                    static_cast<long long>(e.durationNs % 1000));
-      out << ",\"dur\":" << buf << '}';
+      out << ",\"ts\":" << micros(e.startNs)
+          << ",\"dur\":" << micros(e.durationNs) << '}';
     }
   }
   out << "]}\n";
@@ -743,7 +718,6 @@ void writeFlightTrace(std::ostream& out) {
 
   out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   bool first = true;
-  char buf[64];
   for (std::size_t t = 0; t < threads.size(); ++t) {
     for (const FlightRecord& r : threads[t].records) {
       if (!first) {
@@ -751,17 +725,11 @@ void writeFlightTrace(std::ostream& out) {
       }
       first = false;
       out << "{\"name\":\"";
-      writeEscaped(out, r.name);
+      out << json::escape(r.name);
       out << "\",\"cat\":\"flight\",\"ph\":\"X\",\"pid\":1,\"tid\":" << (t + 1);
-      std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                    static_cast<long long>(r.startNs / 1000),
-                    static_cast<long long>(r.startNs % 1000));
-      out << ",\"ts\":" << buf;
-      std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                    static_cast<long long>(r.durationNs / 1000),
-                    static_cast<long long>(r.durationNs % 1000));
-      out << ",\"dur\":" << buf;
-      out << ",\"args\":{\"requestId\":" << r.requestId << "}}";
+      out << ",\"ts\":" << micros(r.startNs)
+          << ",\"dur\":" << micros(r.durationNs)
+          << ",\"args\":{\"requestId\":" << r.requestId << "}}";
     }
   }
   out << "]}\n";

@@ -1,52 +1,17 @@
 #include "robust/obs/report.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+
+#include "robust/obs/json_lite.hpp"
 
 namespace robust::obs {
 
 namespace {
 
-void writeEscaped(std::ostream& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 void writeString(std::ostream& out, std::string_view s) {
-  out << '"';
-  writeEscaped(out, s);
-  out << '"';
-}
-
-/// %.17g — the same rendering the savers use, so values round-trip.
-void writeNumber(std::ostream& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out << buf;
+  out << '"' << json::escape(s) << '"';
 }
 
 }  // namespace
@@ -74,7 +39,7 @@ void writeRunReport(std::ostream& out, const RunReport& report) {
     out << "{\"name\": ";
     writeString(out, b.name);
     out << ", \"value\": ";
-    writeNumber(out, b.value);
+    out << json::number(b.value);
     out << ", \"unit\": ";
     writeString(out, b.unit);
     out << '}';

@@ -37,18 +37,19 @@ std::vector<StudyPoint> runMakespanStudy(
     std::vector<double> ratios(trials);
     std::vector<double> errorNorms(trials);
     std::vector<unsigned char> violated(trials);
-    parallelFor(
-        0, trials,
-        [&](std::size_t t) {
-          Pcg32 rng = makeStream(options.seed, mi * trials + t);
-          ExecutionInput input;
-          input.actualTimes = model.sample(estimates, rng);
-          const ExecutionResult run = execute(system.mapping(), input);
-          errorNorms[t] = num::distance2(input.actualTimes, estimates);
-          violated[t] = run.makespan > bound;
-          ratios[t] = run.makespan / analysis.predictedMakespan;
-        },
-        options.threads);
+    forEachShard(
+        trials, /*shardSize=*/256, options.threads, [] { return 0; },
+        [&](std::size_t, std::size_t lo, std::size_t hi, int) {
+          for (std::size_t t = lo; t < hi; ++t) {
+            Pcg32 rng = makeStream(options.seed, mi * trials + t);
+            ExecutionInput input;
+            input.actualTimes = model.sample(estimates, rng);
+            const ExecutionResult run = execute(system.mapping(), input);
+            errorNorms[t] = num::distance2(input.actualTimes, estimates);
+            violated[t] = run.makespan > bound;
+            ratios[t] = run.makespan / analysis.predictedMakespan;
+          }
+        });
 
     if (obs::enabled()) [[unlikely]] {
       static const obs::MetricId kPoints = obs::counterId("sim.study_points");

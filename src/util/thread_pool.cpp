@@ -130,37 +130,4 @@ void ThreadPool::workerLoop() {
   }
 }
 
-void parallelFor(std::size_t begin, std::size_t end,
-                 const std::function<void(std::size_t)>& body,
-                 std::size_t threads) {
-  if (begin >= end) {
-    return;
-  }
-  const std::size_t n = end - begin;
-  std::size_t workers = threads != 0 ? threads : defaultThreadCount();
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    for (std::size_t i = begin; i < end; ++i) {
-      body(i);
-    }
-    return;
-  }
-
-  ThreadPool pool(workers);
-  const std::size_t chunk = (n + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t lo = begin + w * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) {
-      break;
-    }
-    pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) {
-        body(i);
-      }
-    });
-  }
-  pool.wait();
-}
-
 }  // namespace robust

@@ -6,33 +6,34 @@
 #include <cmath>
 #include <limits>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/core/validation.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/rng.hpp"
 
+#include "compile_problem.hpp"
+
 namespace robust::core {
 namespace {
 
-RobustnessAnalyzer makeAffineAnalyzer(num::Vec weights, double constant,
-                                      ToleranceBounds bounds, num::Vec origin,
-                                      AnalyzerOptions options = {},
-                                      bool discrete = false) {
+CompiledProblem makeAffineProblem(num::Vec weights, double constant,
+                                   ToleranceBounds bounds, num::Vec origin,
+                                   AnalyzerOptions options = {},
+                                   bool discrete = false) {
   std::vector<PerformanceFeature> features;
   features.push_back(PerformanceFeature{
       "phi", ImpactFunction::affine(std::move(weights), constant), bounds});
   PerturbationParameter parameter{"pi", std::move(origin), discrete, ""};
-  return RobustnessAnalyzer(std::move(features), std::move(parameter),
-                            options);
+  return compileProblem(std::move(features), std::move(parameter), options);
 }
 
 // --------------------------------------------------------- radii, affine
 
 TEST(Analyzer, AffineUpperBoundRadius) {
   // f(x) = x1 + x2 <= 10 from origin (1,1): distance 8/sqrt(2).
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0});
-  const auto radius = analyzer.radiusOf(0);
+  const auto radius = problem.radiusOf(0);
   EXPECT_NEAR(radius.radius, 8.0 / std::sqrt(2.0), 1e-12);
   EXPECT_EQ(radius.method, "analytic-l2");
   EXPECT_NEAR(radius.boundaryPoint[0], 5.0, 1e-12);
@@ -42,20 +43,20 @@ TEST(Analyzer, AffineUpperBoundRadius) {
 
 TEST(Analyzer, TwoSidedBoundTakesNearerBoundary) {
   // 2 <= x1 <= 10 from origin 3: lower boundary at distance 1 is binding.
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0}, 0.0, ToleranceBounds::between(2.0, 10.0), {3.0});
-  const auto radius = analyzer.radiusOf(0);
+  const auto radius = problem.radiusOf(0);
   EXPECT_NEAR(radius.radius, 1.0, 1e-12);
   EXPECT_DOUBLE_EQ(radius.boundaryLevel, 2.0);
 }
 
 TEST(Analyzer, ViolatedAtOriginGivesZero) {
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0}, 0.0, ToleranceBounds::atMost(5.0), {7.0});
-  const auto radius = analyzer.radiusOf(0);
+  const auto radius = problem.radiusOf(0);
   EXPECT_DOUBLE_EQ(radius.radius, 0.0);
   EXPECT_EQ(radius.method, "violated-at-origin");
-  const auto report = analyzer.analyze();
+  const auto report = problem.evaluate();
   EXPECT_DOUBLE_EQ(report.metric, 0.0);
 }
 
@@ -68,8 +69,9 @@ TEST(Analyzer, MetricIsMinimumOfRadii) {
                                         ImpactFunction::affine({0.0, 1.0}, 0.0),
                                         ToleranceBounds::atMost(50.0)});
   PerturbationParameter parameter{"pi", {0.0, 0.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features), std::move(parameter));
-  const auto report = analyzer.analyze();
+  const auto problem =
+      compileProblem(std::move(features), std::move(parameter));
+  const auto report = problem.evaluate();
   EXPECT_DOUBLE_EQ(report.metric, 2.0);
   EXPECT_EQ(report.bindingFeature, 0u);
   EXPECT_EQ(report.radii.size(), 2u);
@@ -77,24 +79,24 @@ TEST(Analyzer, MetricIsMinimumOfRadii) {
 }
 
 TEST(Analyzer, DiscreteParameterFloorsMetric) {
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0}, {},
       /*discrete=*/true);
-  const auto report = analyzer.analyze();
+  const auto report = problem.evaluate();
   EXPECT_DOUBLE_EQ(report.metric, std::floor(8.0 / std::sqrt(2.0)));
   EXPECT_TRUE(report.floored);
 }
 
 TEST(Analyzer, ContinuousParameterNotFloored) {
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0});
-  EXPECT_FALSE(analyzer.analyze().floored);
+  EXPECT_FALSE(problem.evaluate().floored);
 }
 
 TEST(Analyzer, RadiusOfOutOfRangeThrows) {
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0}, 0.0, ToleranceBounds::atMost(5.0), {0.0});
-  EXPECT_THROW((void)analyzer.radiusOf(7), InvalidArgumentError);
+  EXPECT_THROW((void)problem.radiusOf(7), InvalidArgumentError);
 }
 
 // --------------------------------------------------------------- norms
@@ -109,16 +111,16 @@ TEST(Analyzer, DualNormClosedForms) {
         std::pair{NormKind::LInf, 20.0 / 7.0}}) {
     AnalyzerOptions options;
     options.norm = norm;
-    const auto analyzer = makeAffineAnalyzer(
+    const auto problem = makeAffineProblem(
         {3.0, 4.0}, 0.0, ToleranceBounds::atMost(20.0), {0.0, 0.0}, options);
-    const auto radius = analyzer.radiusOf(0);
+    const auto radius = problem.radiusOf(0);
     EXPECT_NEAR(radius.radius, expected, 1e-12) << toString(norm);
     // The boundary point must actually lie on the boundary and achieve the
     // claimed norm distance.
     EXPECT_NEAR(3.0 * radius.boundaryPoint[0] + 4.0 * radius.boundaryPoint[1],
                 20.0, 1e-9);
     const num::Vec delta =
-        num::sub(radius.boundaryPoint, analyzer.parameter().origin);
+        num::sub(radius.boundaryPoint, problem.parameter().origin);
     const double measured = norm == NormKind::L2   ? num::norm2(delta)
                             : norm == NormKind::L1 ? num::norm1(delta)
                                                    : num::normInf(delta);
@@ -133,9 +135,9 @@ TEST(Analyzer, WeightedNormClosedForm) {
   AnalyzerOptions options;
   options.norm = NormKind::Weighted;
   options.normWeights = {4.0, 1.0};
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0}, options);
-  const auto radius = analyzer.radiusOf(0);
+  const auto radius = problem.radiusOf(0);
   EXPECT_NEAR(radius.radius, 8.0 / std::sqrt(1.25), 1e-12);
   EXPECT_NEAR(radius.boundaryPoint[0], 1.0 + 1.6, 1e-12);
   EXPECT_NEAR(radius.boundaryPoint[1], 1.0 + 6.4, 1e-12);
@@ -146,7 +148,7 @@ TEST(Analyzer, WeightedNormClosedForm) {
   AnalyzerOptions unit;
   unit.norm = NormKind::Weighted;
   unit.normWeights = {1.0, 1.0};
-  const auto euclid = makeAffineAnalyzer(
+  const auto euclid = makeAffineProblem(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0}, unit);
   EXPECT_NEAR(euclid.radiusOf(0).radius, 8.0 / std::sqrt(2.0), 1e-12);
 }
@@ -158,14 +160,14 @@ TEST(Analyzer, WeightedNormMonteCarloAgrees) {
   AnalyzerOptions oracle = exact;
   oracle.solver = SolverKind::MonteCarlo;
   oracle.solverOptions.samples = 16384;
-  const auto a = makeAffineAnalyzer({1.0, 1.0}, 0.0,
+  const auto a = makeAffineProblem({1.0, 1.0}, 0.0,
                                     ToleranceBounds::atMost(10.0),
                                     {1.0, 1.0}, exact);
-  const auto b = makeAffineAnalyzer({1.0, 1.0}, 0.0,
+  const auto b = makeAffineProblem({1.0, 1.0}, 0.0,
                                     ToleranceBounds::atMost(10.0),
                                     {1.0, 1.0}, oracle);
-  const double exactR = a.analyze().metric;
-  const double sampledR = b.analyze().metric;
+  const double exactR = a.evaluate().metric;
+  const double sampledR = b.evaluate().metric;
   EXPECT_GE(sampledR, exactR - 1e-9);
   EXPECT_NEAR(sampledR, exactR, 0.05 * exactR);
 }
@@ -173,12 +175,12 @@ TEST(Analyzer, WeightedNormMonteCarloAgrees) {
 TEST(Analyzer, WeightedNormValidation) {
   AnalyzerOptions bad;
   bad.norm = NormKind::Weighted;  // missing weights
-  EXPECT_THROW((void)makeAffineAnalyzer({1.0, 1.0}, 0.0,
+  EXPECT_THROW((void)makeAffineProblem({1.0, 1.0}, 0.0,
                                         ToleranceBounds::atMost(4.0),
                                         {0.0, 0.0}, bad),
                InvalidArgumentError);
   bad.normWeights = {1.0, -1.0};
-  EXPECT_THROW((void)makeAffineAnalyzer({1.0, 1.0}, 0.0,
+  EXPECT_THROW((void)makeAffineProblem({1.0, 1.0}, 0.0,
                                         ToleranceBounds::atMost(4.0),
                                         {0.0, 0.0}, bad),
                InvalidArgumentError);
@@ -188,13 +190,13 @@ TEST(Validation, WeightedNormGuaranteeHolds) {
   AnalyzerOptions options;
   options.norm = NormKind::Weighted;
   options.normWeights = {4.0, 1.0};
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0}, options);
-  const double rho = analyzer.analyze().metric;
+  const double rho = problem.evaluate().metric;
   ValidationOptions vopts;
   vopts.norm = NormKind::Weighted;
   vopts.normWeights = {4.0, 1.0};
-  const auto result = validateRadius(analyzer, rho, vopts);
+  const auto result = validateRadius(problem, rho, vopts);
   EXPECT_EQ(result.violationsInside, 0);
   EXPECT_GT(result.violationsAtBoundary, 0);
 }
@@ -203,9 +205,9 @@ TEST(Analyzer, IterativeSolversRejectNonL2Norms) {
   AnalyzerOptions options;
   options.norm = NormKind::L1;
   options.solver = SolverKind::KktNewton;
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(4.0), {0.0, 0.0}, options);
-  EXPECT_THROW((void)analyzer.radiusOf(0), InvalidArgumentError);
+  EXPECT_THROW((void)problem.radiusOf(0), InvalidArgumentError);
 }
 
 // -------------------------------------------------------------- solvers
@@ -215,10 +217,10 @@ TEST(Analyzer, SolverAgreementOnAffine) {
                             SolverKind::RaySearch}) {
     AnalyzerOptions options;
     options.solver = solver;
-    const auto analyzer = makeAffineAnalyzer(
+    const auto problem = makeAffineProblem(
         {2.0, 1.0}, 1.0, ToleranceBounds::atMost(11.0), {1.0, 1.0}, options);
     // plane 2x1 + x2 = 10, from (1,1): distance 7/sqrt(5).
-    const auto radius = analyzer.radiusOf(0);
+    const auto radius = problem.radiusOf(0);
     EXPECT_NEAR(radius.radius, 7.0 / std::sqrt(5.0), 1e-6)
         << "solver " << static_cast<int>(solver);
   }
@@ -234,9 +236,9 @@ TEST(Analyzer, AnalyticRequiresAffine) {
   PerturbationParameter parameter{"pi", {0.0}, false, ""};
   AnalyzerOptions options;
   options.solver = SolverKind::Analytic;
-  const RobustnessAnalyzer analyzer(std::move(features), std::move(parameter),
-                                    options);
-  EXPECT_THROW((void)analyzer.radiusOf(0), InvalidArgumentError);
+  const auto problem =
+      compileProblem(std::move(features), std::move(parameter), options);
+  EXPECT_THROW((void)problem.radiusOf(0), InvalidArgumentError);
 }
 
 TEST(Analyzer, AutoUsesKktForCallable) {
@@ -248,9 +250,9 @@ TEST(Analyzer, AutoUsesKktForCallable) {
       }),
       ToleranceBounds::atMost(25.0)});
   PerturbationParameter parameter{"pi", {1.0, 1.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features),
-                                    std::move(parameter));
-  const auto radius = analyzer.radiusOf(0);
+  const auto problem =
+      compileProblem(std::move(features), std::move(parameter));
+  const auto radius = problem.radiusOf(0);
   EXPECT_NEAR(radius.radius, 5.0 - std::sqrt(2.0), 1e-6);
 }
 
@@ -267,12 +269,12 @@ TEST(Analyzer, UnreachableBoundReportsInfinity) {
   options.solver = SolverKind::MonteCarlo;
   options.solverOptions.samples = 64;
   options.solverOptions.searchLimit = 1e4;
-  const RobustnessAnalyzer analyzer(std::move(features), std::move(parameter),
-                                    options);
-  const auto radius = analyzer.radiusOf(0);
+  const auto problem =
+      compileProblem(std::move(features), std::move(parameter), options);
+  const auto radius = problem.radiusOf(0);
   EXPECT_FALSE(radius.boundReachable);
   EXPECT_TRUE(std::isinf(radius.radius));
-  const auto report = analyzer.analyze();
+  const auto report = problem.evaluate();
   EXPECT_TRUE(std::isinf(report.metric));
 }
 
@@ -291,29 +293,29 @@ TEST(CombinedRobustness, TakesMinimumAcrossParameters) {
 // ------------------------------------------------------------ validator
 
 TEST(Validation, CorrectRadiusHasNoInsideViolations) {
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0});
-  const double rho = analyzer.analyze().metric;
-  const auto result = validateRadius(analyzer, rho);
+  const double rho = problem.evaluate().metric;
+  const auto result = validateRadius(problem, rho);
   EXPECT_EQ(result.violationsInside, 0);
   EXPECT_GT(result.violationsAtBoundary, 0);  // the radius is tight
 }
 
 TEST(Validation, InflatedRadiusIsDetected) {
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0});
-  const double rho = analyzer.analyze().metric;
-  const auto result = validateRadius(analyzer, 1.5 * rho);
+  const double rho = problem.evaluate().metric;
+  const auto result = validateRadius(problem, 1.5 * rho);
   EXPECT_GT(result.violationsInside, 0);
 }
 
 TEST(Validation, OptionsValidated) {
-  const auto analyzer = makeAffineAnalyzer(
+  const auto problem = makeAffineProblem(
       {1.0}, 0.0, ToleranceBounds::atMost(5.0), {0.0});
-  EXPECT_THROW((void)validateRadius(analyzer, -1.0), InvalidArgumentError);
+  EXPECT_THROW((void)validateRadius(problem, -1.0), InvalidArgumentError);
   ValidationOptions options;
   options.samples = 0;
-  EXPECT_THROW((void)validateRadius(analyzer, 1.0, options),
+  EXPECT_THROW((void)validateRadius(problem, 1.0, options),
                InvalidArgumentError);
 }
 
@@ -359,10 +361,10 @@ TEST_P(AnalyticVsOracle, OracleNeverBeatsAnalytic) {
   oracle.solverOptions.seed = seed + 1;
 
   PerturbationParameter parameter{"pi", origin, false, ""};
-  const RobustnessAnalyzer a(features, parameter, analytic);
-  const RobustnessAnalyzer b(features, parameter, oracle);
-  const double exact = a.analyze().metric;
-  const double sampled = b.analyze().metric;
+  const auto a = compileProblem(features, parameter, analytic);
+  const auto b = compileProblem(features, parameter, oracle);
+  const double exact = a.evaluate().metric;
+  const double sampled = b.evaluate().metric;
   EXPECT_GE(sampled, exact - 1e-9);
   EXPECT_LE(sampled, exact * 1.6 + 1e-9);  // loose convergence envelope
 }

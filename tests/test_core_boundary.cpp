@@ -6,6 +6,8 @@
 #include "robust/core/boundary_trace.hpp"
 #include "robust/util/error.hpp"
 
+#include "compile_problem.hpp"
+
 namespace robust::core {
 namespace {
 
@@ -15,9 +17,9 @@ TEST(BoundaryTrace, AffineBoundaryPointsLieOnTheLine) {
       "F", ImpactFunction::affine({1.0, 1.0}, 0.0),
       ToleranceBounds::atMost(9.1)});
   PerturbationParameter parameter{"C", {4.0, 3.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features), parameter);
+  const auto problem = compileProblem(std::move(features), parameter);
 
-  const auto samples = traceBoundary2D(analyzer, 0);
+  const auto samples = traceBoundary2D(problem, 0);
   EXPECT_GT(samples.size(), 30u);      // roughly the facing half-plane
   EXPECT_LT(samples.size(), 128u);     // rays pointing away never cross
   double minDistance = 1e300;
@@ -28,7 +30,7 @@ TEST(BoundaryTrace, AffineBoundaryPointsLieOnTheLine) {
     minDistance = std::min(minDistance, s.distance);
   }
   // The closest traced sample approaches the analytic radius from above.
-  const double radius = analyzer.radiusOf(0).radius;
+  const double radius = problem.radiusOf(0).radius;
   EXPECT_GE(minDistance, radius - 1e-9);
   EXPECT_LE(minDistance, radius * 1.01);
 }
@@ -44,11 +46,11 @@ TEST(BoundaryTrace, CurvedBoundaryIsClosed) {
       }),
       ToleranceBounds::atMost(25.0)});
   PerturbationParameter parameter{"pi", {1.0, 0.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features), parameter);
+  const auto problem = compileProblem(std::move(features), parameter);
 
   BoundaryTraceOptions options;
   options.rays = 64;
-  const auto samples = traceBoundary2D(analyzer, 0, options);
+  const auto samples = traceBoundary2D(problem, 0, options);
   EXPECT_EQ(samples.size(), 64u);  // closed curve: every ray crosses
   for (const auto& s : samples) {
     EXPECT_NEAR(num::norm2(s.point), 5.0, 1e-7);
@@ -70,7 +72,7 @@ TEST(BoundaryTrace, Validation) {
       "F", ImpactFunction::affine({1.0, 1.0, 1.0}, 0.0),
       ToleranceBounds::atMost(9.0)});
   PerturbationParameter parameter{"pi", {0.0, 0.0, 0.0}, false, ""};
-  const RobustnessAnalyzer threeD(std::move(features), parameter);
+  const auto threeD = compileProblem(std::move(features), parameter);
   EXPECT_THROW((void)traceBoundary2D(threeD, 0), InvalidArgumentError);
   EXPECT_THROW((void)traceBoundary2D(threeD, 9), InvalidArgumentError);
 
@@ -79,7 +81,7 @@ TEST(BoundaryTrace, Validation) {
                                     ImpactFunction::affine({1.0, 1.0}, 0.0),
                                     ToleranceBounds::atMost(9.0)});
   PerturbationParameter twoD{"pi", {0.0, 0.0}, false, ""};
-  const RobustnessAnalyzer ok(std::move(flat), twoD);
+  const auto ok = compileProblem(std::move(flat), twoD);
   BoundaryTraceOptions bad;
   bad.rays = 2;
   EXPECT_THROW((void)traceBoundary2D(ok, 0, bad), InvalidArgumentError);

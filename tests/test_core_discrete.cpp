@@ -9,32 +9,34 @@
 #include "robust/random/distributions.hpp"
 #include "robust/util/error.hpp"
 
+#include "compile_problem.hpp"
+
 namespace robust::core {
 namespace {
 
-RobustnessAnalyzer affineDiscrete(num::Vec weights, double level,
-                                  num::Vec origin) {
+CompiledProblem affineDiscrete(num::Vec weights, double level,
+                               num::Vec origin) {
   std::vector<PerformanceFeature> features;
   features.push_back(PerformanceFeature{
       "phi", ImpactFunction::affine(std::move(weights), 0.0),
       ToleranceBounds::atMost(level)});
   PerturbationParameter parameter{"pi", std::move(origin), /*discrete=*/true,
                                   ""};
-  return RobustnessAnalyzer(std::move(features), std::move(parameter));
+  return compileProblem(std::move(features), std::move(parameter));
 }
 
 TEST(Discrete, OneDimensionalExact) {
   // x <= 10.4 from 0: continuous radius 10.4; nearest violating integer is
   // 11. The floor rule reports 10; the exact lattice bound is 11 (all
   // integer perturbations with |d| < 11 are safe).
-  const auto analyzer = affineDiscrete({1.0}, 10.4, {0.0});
-  const auto bounds = discreteRadiusBounds(analyzer);
+  const auto problem = affineDiscrete({1.0}, 10.4, {0.0});
+  const auto bounds = discreteRadiusBounds(problem);
   EXPECT_NEAR(bounds.lower, 10.4, 1e-12);
   EXPECT_TRUE(bounds.exact);
   EXPECT_NEAR(bounds.upper, 11.0, 1e-12);
   EXPECT_EQ(bounds.violatingPoint, (num::Vec{11.0}));
   // The floor rule is strictly more pessimistic here.
-  EXPECT_GT(bounds.upper, std::floor(analyzer.analyze().metric) + 0.5);
+  EXPECT_GT(bounds.upper, std::floor(problem.evaluate().metric) + 0.5);
 }
 
 TEST(Discrete, DiagonalBoundaryBeatsFloorRule) {
@@ -44,8 +46,8 @@ TEST(Discrete, DiagonalBoundaryBeatsFloorRule) {
   // ~ 10.630 — strictly better than both the floor rule and the continuous
   // radius.
   const double level = 14.707;
-  const auto analyzer = affineDiscrete({1.0, 1.0}, level, {0.0, 0.0});
-  const auto bounds = discreteRadiusBounds(analyzer);
+  const auto problem = affineDiscrete({1.0, 1.0}, level, {0.0, 0.0});
+  const auto bounds = discreteRadiusBounds(problem);
   EXPECT_NEAR(bounds.lower, level / std::sqrt(2.0), 1e-9);
   EXPECT_TRUE(bounds.exact);
   EXPECT_NEAR(bounds.upper, std::sqrt(113.0), 1e-9);
@@ -65,8 +67,8 @@ TEST(Discrete, BoundsBracketAndCertify) {
       "b", ImpactFunction::affine({1.0, 3.0}, 0.0),
       ToleranceBounds::atMost(17.9)});
   PerturbationParameter parameter{"pi", {1.0, 2.0}, true, ""};
-  const RobustnessAnalyzer analyzer(features, parameter);
-  const auto bounds = discreteRadiusBounds(analyzer);
+  const auto problem = compileProblem(features, parameter);
+  const auto bounds = discreteRadiusBounds(problem);
   ASSERT_TRUE(std::isfinite(bounds.upper));
   EXPECT_LE(bounds.lower, bounds.upper + 1e-12);
   // The certificate violates some bound.
@@ -107,9 +109,9 @@ TEST(Discrete, NonlinearBoundary) {
       }),
       ToleranceBounds::atMost(20.5)});
   PerturbationParameter parameter{"pi", {0.0, 0.0}, true, ""};
-  const RobustnessAnalyzer analyzer(std::move(features),
-                                    std::move(parameter));
-  const auto bounds = discreteRadiusBounds(analyzer);
+  const auto problem =
+      compileProblem(std::move(features), std::move(parameter));
+  const auto bounds = discreteRadiusBounds(problem);
   EXPECT_NEAR(bounds.lower, std::sqrt(20.5), 1e-6);
   EXPECT_TRUE(bounds.exact);
   EXPECT_NEAR(bounds.upper, 5.0, 1e-9);
@@ -117,10 +119,10 @@ TEST(Discrete, NonlinearBoundary) {
 
 TEST(Discrete, LargeRadiusGivesCertificateOnly) {
   // Radius beyond the exhaustive limit: bounds still bracket, exact off.
-  const auto analyzer = affineDiscrete({1.0, 1.0}, 100.3, {0.0, 0.0});
+  const auto problem = affineDiscrete({1.0, 1.0}, 100.3, {0.0, 0.0});
   DiscreteOptions options;
   options.exhaustiveLimit = 5.0;
-  const auto bounds = discreteRadiusBounds(analyzer, options);
+  const auto bounds = discreteRadiusBounds(problem, options);
   EXPECT_FALSE(bounds.exact);
   EXPECT_NEAR(bounds.lower, 100.3 / std::sqrt(2.0), 1e-9);
   ASSERT_TRUE(std::isfinite(bounds.upper));
@@ -149,8 +151,8 @@ TEST_P(DiscreteBruteForce, ExactBoundMatchesEnumeration) {
         ToleranceBounds::atMost(level)});
   }
   PerturbationParameter parameter{"pi", origin, true, ""};
-  const RobustnessAnalyzer analyzer(features, parameter);
-  const auto bounds = discreteRadiusBounds(analyzer);
+  const auto problem = compileProblem(features, parameter);
+  const auto bounds = discreteRadiusBounds(problem);
   ASSERT_TRUE(bounds.exact) << "seed " << GetParam();
 
   double bruteMin = std::numeric_limits<double>::infinity();
@@ -184,17 +186,17 @@ TEST(Discrete, Validation) {
       "phi", ImpactFunction::affine({1.0}, 0.0),
       ToleranceBounds::atMost(5.0)});
   PerturbationParameter continuous{"pi", {0.0}, false, ""};
-  const RobustnessAnalyzer a(features, continuous);
+  const auto a = compileProblem(features, continuous);
   EXPECT_THROW((void)discreteRadiusBounds(a), InvalidArgumentError);
 
   // Non-integer origin rejected.
   PerturbationParameter fractional{"pi", {0.5}, true, ""};
-  const RobustnessAnalyzer b(features, fractional);
+  const auto b = compileProblem(features, fractional);
   EXPECT_THROW((void)discreteRadiusBounds(b), InvalidArgumentError);
 
   // Bad options rejected.
   PerturbationParameter ok{"pi", {0.0}, true, ""};
-  const RobustnessAnalyzer c(features, ok);
+  const auto c = compileProblem(features, ok);
   DiscreteOptions bad;
   bad.neighborhoodRadius = 0;
   EXPECT_THROW((void)discreteRadiusBounds(c, bad), InvalidArgumentError);

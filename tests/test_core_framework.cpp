@@ -1,5 +1,5 @@
 // Tests for the FePIA core: impact functions, tolerance bounds, the builder,
-// and input validation of the analyzer.
+// and input validation of the compiled problem.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,8 @@
 #include "robust/core/fepia.hpp"
 #include "robust/core/report_io.hpp"
 #include "robust/util/error.hpp"
+
+#include "compile_problem.hpp"
 
 namespace robust::core {
 namespace {
@@ -82,32 +84,33 @@ TEST(ToleranceBounds, BetweenValidatesOrder) {
 // -------------------------------------------------------------- builder
 
 TEST(FepiaBuilder, BuildsWorkingAnalyzer) {
-  auto analyzer =
+  const auto problem =
       FepiaBuilder("toy requirement")
           .perturbation("pi", {0.0, 0.0})
           .affineFeature("phi", {1.0, 1.0}, 0.0, ToleranceBounds::atMost(4.0))
-          .build();
-  EXPECT_EQ(analyzer.featureCount(), 1u);
-  const auto report = analyzer.analyze();
+          .compile();
+  EXPECT_EQ(problem.featureCount(), 1u);
+  const auto report = problem.evaluate();
   EXPECT_NEAR(report.metric, 4.0 / std::sqrt(2.0), 1e-12);
 }
 
 TEST(FepiaBuilder, RequiresAllSteps) {
   FepiaBuilder noParam("r");
   noParam.affineFeature("phi", {1.0}, 0.0, ToleranceBounds::atMost(1.0));
-  EXPECT_THROW((void)noParam.build(), InvalidArgumentError);
+  EXPECT_THROW((void)noParam.compile(), InvalidArgumentError);
 
   FepiaBuilder noFeatures("r");
   noFeatures.perturbation("pi", {0.0});
-  EXPECT_THROW((void)noFeatures.build(), InvalidArgumentError);
+  EXPECT_THROW((void)noFeatures.spec(), InvalidArgumentError);
 }
 
 TEST(FepiaBuilder, SingleShot) {
   FepiaBuilder b("r");
   b.perturbation("pi", {0.0});
   b.affineFeature("phi", {1.0}, 0.0, ToleranceBounds::atMost(1.0));
-  (void)b.build();
-  EXPECT_THROW((void)b.build(), InvalidArgumentError);
+  (void)b.compile();
+  EXPECT_THROW((void)b.compile(), InvalidArgumentError);
+  EXPECT_THROW((void)b.spec(), InvalidArgumentError);
 }
 
 TEST(FepiaBuilder, RejectsSecondParameter) {
@@ -121,7 +124,7 @@ TEST(FepiaBuilder, KeepsRequirementText) {
   EXPECT_EQ(b.requirement(), "makespan within 120%");
 }
 
-// ------------------------------------------------- analyzer validation
+// ------------------------------------------ compiled-problem validation
 
 TEST(RobustnessAnalyzer, RejectsDimensionMismatch) {
   std::vector<PerformanceFeature> features;
@@ -129,7 +132,7 @@ TEST(RobustnessAnalyzer, RejectsDimensionMismatch) {
       "phi", ImpactFunction::affine({1.0, 2.0, 3.0}, 0.0),
       ToleranceBounds::atMost(1.0)});
   PerturbationParameter parameter{"pi", {0.0, 0.0}, false, ""};
-  EXPECT_THROW(RobustnessAnalyzer(std::move(features), std::move(parameter)),
+  EXPECT_THROW((void)compileProblem(std::move(features), std::move(parameter)),
                InvalidArgumentError);
 }
 
@@ -138,20 +141,20 @@ TEST(RobustnessAnalyzer, RejectsUnboundedFeature) {
   features.push_back(PerformanceFeature{
       "phi", ImpactFunction::affine({1.0}, 0.0), ToleranceBounds{}});
   PerturbationParameter parameter{"pi", {0.0}, false, ""};
-  EXPECT_THROW(RobustnessAnalyzer(std::move(features), std::move(parameter)),
+  EXPECT_THROW((void)compileProblem(std::move(features), std::move(parameter)),
                InvalidArgumentError);
 }
 
 TEST(RobustnessAnalyzer, RejectsEmptyInputs) {
   PerturbationParameter parameter{"pi", {0.0}, false, ""};
-  EXPECT_THROW(RobustnessAnalyzer({}, parameter), InvalidArgumentError);
+  EXPECT_THROW((void)compileProblem({}, parameter), InvalidArgumentError);
 
   std::vector<PerformanceFeature> features;
   features.push_back(PerformanceFeature{"phi",
                                         ImpactFunction::affine({1.0}, 0.0),
                                         ToleranceBounds::atMost(1.0)});
   PerturbationParameter empty{"pi", {}, false, ""};
-  EXPECT_THROW(RobustnessAnalyzer(std::move(features), std::move(empty)),
+  EXPECT_THROW((void)compileProblem(std::move(features), std::move(empty)),
                InvalidArgumentError);
 }
 
@@ -164,8 +167,8 @@ TEST(ReportIo, PrintsMetricBindingAndElision) {
         ToleranceBounds::atMost(100.0 - 10.0 * f)});
   }
   PerturbationParameter parameter{"pi", {1.0, 1.0}, false, "widgets"};
-  const RobustnessAnalyzer analyzer(std::move(features), parameter);
-  const auto report = analyzer.analyze();
+  const auto report =
+      compileProblem(std::move(features), parameter).evaluate();
 
   std::ostringstream oss;
   ReportPrintOptions options;
@@ -187,9 +190,9 @@ TEST(ReportIo, ShowsAllRowsWhenUnderLimit) {
                                         ImpactFunction::affine({1.0}, 0.0),
                                         ToleranceBounds::atMost(2.0)});
   PerturbationParameter parameter{"pi", {0.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features), parameter);
+  const auto problem = compileProblem(std::move(features), parameter);
   std::ostringstream oss;
-  printReport(oss, analyzer.analyze(), parameter);
+  printReport(oss, problem.evaluate(), parameter);
   EXPECT_EQ(oss.str().find("elided"), std::string::npos);
 }
 

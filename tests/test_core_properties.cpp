@@ -1,4 +1,4 @@
-// Randomized property tests for the analyzer: structural invariants that
+// Randomized property tests for the compiled engine: structural invariants that
 // must hold for every instance (monotonicity, scaling covariance,
 // translation invariance, norm ordering).
 #include <gtest/gtest.h>
@@ -6,8 +6,10 @@
 #include <cmath>
 #include <limits>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/util/rng.hpp"
+
+#include "compile_problem.hpp"
 
 namespace robust::core {
 namespace {
@@ -45,19 +47,19 @@ class AnalyzerProperties : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AnalyzerProperties, LooseningBoundsNeverShrinksTheMetric) {
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer tight(system.features, system.parameter);
+  const auto tight = compileProblem(system.features, system.parameter);
   auto loosened = system.features;
   for (auto& f : loosened) {
     f.bounds.max = *f.bounds.max + 5.0;
   }
-  const RobustnessAnalyzer loose(loosened, system.parameter);
-  EXPECT_GE(loose.analyze().metric, tight.analyze().metric - 1e-12);
+  const auto loose = compileProblem(loosened, system.parameter);
+  EXPECT_GE(loose.evaluate().metric, tight.evaluate().metric - 1e-12);
 }
 
 TEST_P(AnalyzerProperties, ScalingImpactAndLevelLeavesRadiusUnchanged) {
   // f -> c f, beta -> c beta defines the same boundary set.
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer original(system.features, system.parameter);
+  const auto original = compileProblem(system.features, system.parameter);
   const double c = 3.7;
   auto scaled = system.features;
   for (auto& f : scaled) {
@@ -67,16 +69,16 @@ TEST_P(AnalyzerProperties, ScalingImpactAndLevelLeavesRadiusUnchanged) {
                                c * f.impact.constant()),
         ToleranceBounds::atMost(c * *f.bounds.max)};
   }
-  const RobustnessAnalyzer rescaled(scaled, system.parameter);
-  EXPECT_NEAR(rescaled.analyze().metric, original.analyze().metric,
-              1e-9 * std::max(1.0, original.analyze().metric));
+  const auto rescaled = compileProblem(scaled, system.parameter);
+  EXPECT_NEAR(rescaled.evaluate().metric, original.evaluate().metric,
+              1e-9 * std::max(1.0, original.evaluate().metric));
 }
 
 TEST_P(AnalyzerProperties, TranslationCovariance) {
   // Shifting the origin by t and the levels by f(t)'s linear part leaves
   // every radius unchanged (the geometry translates rigidly).
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer original(system.features, system.parameter);
+  const auto original = compileProblem(system.features, system.parameter);
 
   Pcg32 rng(GetParam() + 1);
   num::Vec shift(system.parameter.origin.size());
@@ -90,8 +92,8 @@ TEST_P(AnalyzerProperties, TranslationCovariance) {
   }
   PerturbationParameter movedParam = system.parameter;
   movedParam.origin = num::add(movedParam.origin, shift);
-  const RobustnessAnalyzer moved(shifted, movedParam);
-  EXPECT_NEAR(moved.analyze().metric, original.analyze().metric, 1e-9);
+  const auto moved = compileProblem(shifted, movedParam);
+  EXPECT_NEAR(moved.evaluate().metric, original.evaluate().metric, 1e-9);
 }
 
 TEST_P(AnalyzerProperties, NormOrderingHolds) {
@@ -101,8 +103,8 @@ TEST_P(AnalyzerProperties, NormOrderingHolds) {
   auto metricUnder = [&](NormKind norm) {
     AnalyzerOptions options;
     options.norm = norm;
-    return RobustnessAnalyzer(system.features, system.parameter, options)
-        .analyze()
+    return compileProblem(system.features, system.parameter, options)
+        .evaluate()
         .metric;
   };
   const double l1 = metricUnder(NormKind::L1);
@@ -114,11 +116,11 @@ TEST_P(AnalyzerProperties, NormOrderingHolds) {
 
 TEST_P(AnalyzerProperties, MetricIsMinOfPerFeatureRadii) {
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer analyzer(system.features, system.parameter);
-  const auto report = analyzer.analyze();
+  const auto problem = compileProblem(system.features, system.parameter);
+  const auto report = problem.evaluate();
   double expected = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < analyzer.featureCount(); ++i) {
-    expected = std::min(expected, analyzer.radiusOf(i).radius);
+  for (std::size_t i = 0; i < problem.featureCount(); ++i) {
+    expected = std::min(expected, problem.radiusOf(i).radius);
   }
   EXPECT_DOUBLE_EQ(report.metric, expected);
   EXPECT_DOUBLE_EQ(report.radii[report.bindingFeature].radius, expected);
@@ -126,9 +128,9 @@ TEST_P(AnalyzerProperties, MetricIsMinOfPerFeatureRadii) {
 
 TEST_P(AnalyzerProperties, BoundaryPointsLieOnTheirBoundaries) {
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer analyzer(system.features, system.parameter);
-  for (std::size_t i = 0; i < analyzer.featureCount(); ++i) {
-    const auto radius = analyzer.radiusOf(i);
+  const auto problem = compileProblem(system.features, system.parameter);
+  for (std::size_t i = 0; i < problem.featureCount(); ++i) {
+    const auto radius = problem.radiusOf(i);
     const double value =
         system.features[i].impact.evaluate(radius.boundaryPoint);
     EXPECT_NEAR(value, radius.boundaryLevel,

@@ -6,10 +6,12 @@
 #include "robust/core/sensitivity.hpp"
 #include "robust/util/error.hpp"
 
+#include "compile_problem.hpp"
+
 namespace robust::core {
 namespace {
 
-RobustnessAnalyzer twoFeatureAnalyzer() {
+CompiledProblem twoFeatureProblem() {
   std::vector<PerformanceFeature> features;
   // Feature A depends mostly on component 1; feature B only on component 0.
   features.push_back(PerformanceFeature{
@@ -19,13 +21,13 @@ RobustnessAnalyzer twoFeatureAnalyzer() {
       "B", ImpactFunction::affine({2.0, 0.0}, 0.0),
       ToleranceBounds::atMost(50.0)});
   PerturbationParameter parameter{"pi", {1.0, 1.0}, false, ""};
-  return RobustnessAnalyzer(std::move(features), std::move(parameter));
+  return compileProblem(std::move(features), std::move(parameter));
 }
 
 TEST(Sensitivity, DirectionIsUnitAndPointsAtBoundary) {
-  const auto analyzer = twoFeatureAnalyzer();
-  const auto radius = analyzer.radiusOf(0);
-  const auto s = sensitivityOf(radius, analyzer.parameter());
+  const auto problem = twoFeatureProblem();
+  const auto radius = problem.radiusOf(0);
+  const auto s = sensitivityOf(radius, problem.parameter());
   EXPECT_EQ(s.feature, "A");
   EXPECT_NEAR(num::norm2(s.direction), 1.0, 1e-12);
   // For an affine feature the critical direction is the normalized weight
@@ -35,19 +37,19 @@ TEST(Sensitivity, DirectionIsUnitAndPointsAtBoundary) {
 }
 
 TEST(Sensitivity, RankingOrdersByMagnitude) {
-  const auto analyzer = twoFeatureAnalyzer();
-  const auto s = sensitivityOf(analyzer.radiusOf(0), analyzer.parameter());
+  const auto problem = twoFeatureProblem();
+  const auto s = sensitivityOf(problem.radiusOf(0), problem.parameter());
   ASSERT_EQ(s.ranking.size(), 2u);
   EXPECT_EQ(s.ranking[0], 1u);  // component 1 has weight 3
   EXPECT_EQ(s.ranking[1], 0u);
 }
 
 TEST(Sensitivity, BindingSensitivityUsesTheMinimumRadiusFeature) {
-  const auto analyzer = twoFeatureAnalyzer();
-  const auto report = analyzer.analyze();
+  const auto problem = twoFeatureProblem();
+  const auto report = problem.evaluate();
   // Radii: A = (20-4)/sqrt(10) = 5.06, B = (50-2)/2 = 24 -> A binds.
   EXPECT_EQ(report.radii[report.bindingFeature].feature, "A");
-  const auto s = bindingSensitivity(report, analyzer.parameter());
+  const auto s = bindingSensitivity(report, problem.parameter());
   EXPECT_EQ(s.feature, "A");
 }
 
@@ -57,10 +59,10 @@ TEST(Sensitivity, ZeroRadiusYieldsZeroDirection) {
       "violated", ImpactFunction::affine({1.0}, 0.0),
       ToleranceBounds::atMost(0.5)});
   PerturbationParameter parameter{"pi", {1.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features),
-                                    std::move(parameter));
+  const auto problem =
+      compileProblem(std::move(features), std::move(parameter));
   const auto s =
-      sensitivityOf(analyzer.radiusOf(0), analyzer.parameter());
+      sensitivityOf(problem.radiusOf(0), problem.parameter());
   EXPECT_DOUBLE_EQ(s.direction[0], 0.0);
   EXPECT_EQ(s.ranking[0], 0u);
 }

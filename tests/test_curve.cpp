@@ -230,6 +230,26 @@ TEST(CurveBits, PinnedAcrossThreadsShardsAndSimd) {
   num::simd::setTarget(saved);
 }
 
+TEST(CurveObs, RowsVisitedCountsEverySample) {
+  // Unpruned, every sample visits every row. The counter is flushed per
+  // shard, so no tail of samples is lost, including when N is below any
+  // flush interval and the last shard is short.
+  const CompiledProblem problem = curveProblem(24, 8);
+  for (std::size_t threads : {1u, 3u}) {
+    ObsGuard obs;
+    CurveOptions o;
+    o.samples = 1000;
+    o.prune = false;
+    o.useCache = false;
+    o.threads = threads;
+    o.shardSamples = 256;
+    ASSERT_TRUE(computeCurve(problem, o).fastLane);
+    const obs::MetricsSnapshot snap = obs::snapshotMetrics();
+    EXPECT_EQ(snap.counter("curve.rows_visited"), 1000u * 24u) << threads;
+    EXPECT_EQ(snap.counter("curve.shards"), 4u) << threads;
+  }
+}
+
 // ------------------------------------------------- closed-form vs oracle
 
 TEST(Curve, ClosedFormRadiusMatchesViolationOracle) {

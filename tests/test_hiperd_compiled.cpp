@@ -1,7 +1,7 @@
 // CompiledScenario equivalence suite: the compiled per-mapping analysis must
 // be bit-identical to the legacy derivation
-// (HiperdSystem(scenario, mapping).toAnalyzer(options).analyze()), which
-// builds its feature list independently at every call.
+// (HiperdSystem(scenario, mapping).analyze(options)), which builds and
+// compiles its feature list independently at every call.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -91,7 +91,7 @@ TEST(CompiledScenario, MatchesLegacyOnMiniScenario) {
   EXPECT_TRUE(compiled.fastPath());
   const sched::Mapping mapping({0, 0, 1, 1}, 2);
   expectSameReport(compiled.analyze(mapping),
-                   HiperdSystem(scenario, mapping).toAnalyzer().analyze());
+                   HiperdSystem(scenario, mapping).analyze());
 }
 
 TEST(CompiledScenario, MatchesLegacyAcrossRandomMappingsWithReusedWorkspace) {
@@ -107,7 +107,7 @@ TEST(CompiledScenario, MatchesLegacyAcrossRandomMappingsWithReusedWorkspace) {
         scenario.graph.applicationCount(), scenario.machines, rng);
     const core::RobustnessReport& got = compiled.analyze(mapping, workspace);
     const core::RobustnessReport want =
-        HiperdSystem(scenario, mapping).toAnalyzer().analyze();
+        HiperdSystem(scenario, mapping).analyze();
     expectSameReport(got, want);
   }
 }
@@ -129,7 +129,7 @@ TEST(CompiledScenario, MatchesLegacyUnderEveryNorm) {
           scenario.graph.applicationCount(), scenario.machines, rng);
       expectSameReport(
           compiled.analyze(mapping),
-          HiperdSystem(scenario, mapping).toAnalyzer(options).analyze());
+          HiperdSystem(scenario, mapping).analyze(options));
     }
   }
 }
@@ -150,7 +150,7 @@ TEST(CompiledScenario, NonLinearScenarioFallsBackIdentically) {
     const sched::Mapping mapping = sched::randomMapping(
         scenario.graph.applicationCount(), scenario.machines, rng);
     expectSameReport(compiled.analyze(mapping, workspace),
-                     HiperdSystem(scenario, mapping).toAnalyzer().analyze());
+                     HiperdSystem(scenario, mapping).analyze());
   }
 }
 
@@ -163,7 +163,7 @@ TEST(CompiledScenario, IterativeSolverRequestFallsBackIdentically) {
   const sched::Mapping mapping({0, 1, 0, 1}, 2);
   expectSameReport(
       compiled.analyze(mapping),
-      HiperdSystem(scenario, mapping).toAnalyzer(options).analyze());
+      HiperdSystem(scenario, mapping).analyze(options));
 }
 
 TEST(CompiledScenario, AnalyzeMappingsDeterministicAcrossThreadCounts) {

@@ -264,9 +264,9 @@ TEST(HiperdSystem, RobustnessMatchesHandComputation) {
 TEST(HiperdSystem, GuaranteeValidatedBySampling) {
   const HiperdScenario scenario = miniScenario();
   const HiperdSystem system(scenario, miniMapping());
-  const auto analyzer = system.toAnalyzer();
-  const auto report = analyzer.analyze();
-  const auto validation = core::validateRadius(analyzer, report.metric);
+  const auto problem = core::CompiledProblem::compile(system.toSpec());
+  const auto report = problem.evaluate();
+  const auto validation = core::validateRadius(problem, report.metric);
   EXPECT_EQ(validation.violationsInside, 0);
 }
 
@@ -331,8 +331,7 @@ TEST(HiperdSystem, ZeroLoadDependenceYieldsNoFeature) {
   // and the remaining analysis still works.
   scenario.compute[0][0] = LoadFunction::zero(2);
   const HiperdSystem system(scenario, miniMapping());
-  const auto analyzer = system.toAnalyzer();
-  for (const auto& f : analyzer.features()) {
+  for (const auto& f : system.toSpec().features) {
     EXPECT_NE(f.name, "Tc(a0)");
   }
   EXPECT_TRUE(std::isfinite(system.analyze().metric));

@@ -8,10 +8,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "robust/obs/json_lite.hpp"
+#include "robust/obs/report.hpp"
 
 namespace {
 
@@ -81,6 +85,31 @@ TEST(ReportCheck, ValidReportAgainstItselfPasses) {
       runTool(dir, report + " --baseline " + baseline);
   EXPECT_EQ(r.exitCode, 0) << r.output;
   EXPECT_NE(r.output.find("OK"), std::string::npos) << r.output;
+}
+
+TEST(ReportCheck, NonFiniteBenchmarkValuesStillWriteValidJson) {
+  // JSON has no infinity or NaN literal: a rho that is +inf (an empty
+  // feasible region) must not turn the run report into invalid JSON.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  robust::obs::RunReport report;
+  report.tool = "test";
+  report.benchmarks = {{"pos_inf", kInf, "1"},
+                       {"neg_inf", -kInf, "1"},
+                       {"nan", std::numeric_limits<double>::quiet_NaN(), "1"}};
+  std::ostringstream text;
+  robust::obs::writeRunReport(text, report);
+  const robust::obs::json::Value doc = robust::obs::json::parse(text.str());
+  const auto& rows = doc.find("benchmarks")->array;
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].find("value")->number,
+            std::numeric_limits<double>::max());
+  EXPECT_EQ(rows[1].find("value")->number,
+            std::numeric_limits<double>::lowest());
+  EXPECT_EQ(rows[2].find("value")->number, 0.0);
+
+  TempDir dir("nonfinite");
+  const RunResult r = runTool(dir, dir.file("report.json", text.str()));
+  EXPECT_EQ(r.exitCode, 0) << r.output;
 }
 
 TEST(ReportCheck, MissingBaselineExitsThreeWithItsOwnMessage) {

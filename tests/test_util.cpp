@@ -2,17 +2,20 @@
 // statistics, table/CSV output, argument parsing, and the thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include <unistd.h>
 
@@ -508,20 +511,108 @@ TEST(ThreadPool, DrainsQueueOnDestruction) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallelFor(0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
+TEST(ForEachShard, CoversRangeExactlyOnce) {
+  constexpr std::size_t kShard = 7;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kShard - 1,
+                              kShard, kShard + 1, std::size_t{100000}}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<bool> badShard{false};
+      forEachShard(
+          n, kShard, threads, [] { return 0; },
+          [&](std::size_t s, std::size_t lo, std::size_t hi, int) {
+            if (lo != s * kShard || hi != std::min(n, lo + kShard) ||
+                lo >= hi) {
+              badShard = true;
+            }
+            for (std::size_t i = lo; i < hi; ++i) {
+              hits[i].fetch_add(1);
+            }
+          });
+      EXPECT_FALSE(badShard.load()) << n << " x " << threads;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << i << " of " << n << " x " << threads;
+      }
+    }
   }
 }
 
-TEST(ParallelFor, EmptyAndSingle) {
+TEST(ForEachShard, EmptyAndSingle) {
+  int scratches = 0;
   int calls = 0;
-  parallelFor(5, 5, [&](std::size_t) { ++calls; });
+  const auto makeScratch = [&] {
+    ++scratches;
+    return 0;
+  };
+  forEachShard(0, 4, 8, makeScratch,
+               [&](std::size_t, std::size_t, std::size_t, int) { ++calls; });
   EXPECT_EQ(calls, 0);
-  parallelFor(3, 4, [&](std::size_t i) { EXPECT_EQ(i, 3u); ++calls; }, 1);
+  EXPECT_EQ(scratches, 0);  // no shard, no worker
+  forEachShard(1, 4, 8, makeScratch,
+               [&](std::size_t s, std::size_t lo, std::size_t hi, int) {
+                 EXPECT_EQ(s, 0u);
+                 EXPECT_EQ(lo, 0u);
+                 EXPECT_EQ(hi, 1u);
+                 ++calls;
+               });
   EXPECT_EQ(calls, 1);
+  EXPECT_EQ(scratches, 1);  // one shard runs inline on one scratch
+}
+
+TEST(ForEachShard, ScratchAtMostOncePerWorker) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    std::atomic<int> made{0};
+    std::atomic<int> shards{0};
+    std::atomic<bool> shared{false};
+    struct Scratch {
+      int id = 0;
+      std::thread::id owner;
+    };
+    forEachShard(
+        1000, 10, threads,
+        [&] { return Scratch{made.fetch_add(1), std::this_thread::get_id()}; },
+        [&](std::size_t, std::size_t, std::size_t, Scratch& scratch) {
+          if (scratch.owner != std::this_thread::get_id()) {
+            shared = true;  // a scratch escaped its worker
+          }
+          shards.fetch_add(1);
+        });
+    EXPECT_GE(made.load(), 1) << threads;
+    EXPECT_LE(made.load(), static_cast<int>(threads)) << threads;
+    EXPECT_EQ(shards.load(), 100) << threads;
+    EXPECT_FALSE(shared.load()) << threads;
+  }
+}
+
+TEST(ForEachShard, RethrowsLowestShardAfterEveryShardRan) {
+  // 16 shards of 4; shards 3 and 7 throw. With several workers shard 3
+  // waits until shard 7 has thrown, so the higher-index failure is
+  // captured first and must still lose to shard 3's.
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    std::atomic<int> ran{0};
+    std::atomic<bool> sevenThrew{false};
+    try {
+      forEachShard(
+          64, 4, threads, [] { return 0; },
+          [&](std::size_t s, std::size_t, std::size_t, int) {
+            ran.fetch_add(1);
+            if (s == 3) {
+              while (threads > 1 && !sevenThrew.load()) {
+                std::this_thread::yield();
+              }
+              throw std::runtime_error("shard 3");
+            }
+            if (s == 7) {
+              sevenThrew = true;
+              throw std::logic_error("shard 7");
+            }
+          });
+      FAIL() << "expected shard 3's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 3") << threads;
+      EXPECT_EQ(ran.load(), 16) << threads;  // every shard ran first
+    }
+  }
 }
 
 TEST(ThreadPool, SurvivesAThrowingTask) {
@@ -569,27 +660,6 @@ TEST(ThreadPool, DestructionDiscardsAnUncollectedException) {
     pool.submit([&ran] { ran.fetch_add(1); });
   }  // destructor must neither terminate nor throw
   EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ParallelFor, RethrowsTheBodyExceptionAfterCompletion) {
-  std::atomic<int> visited{0};
-  try {
-    parallelFor(
-        0, 64,
-        [&](std::size_t i) {
-          visited.fetch_add(1);
-          if (i == 13) {
-            throw std::runtime_error("body failed at 13");
-          }
-        },
-        4);
-    FAIL() << "expected the body's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "body failed at 13");
-  }
-  // The throw abandons the rest of its own chunk ([0,16) loses i=14,15)
-  // while every other chunk still runs to completion before the rethrow.
-  EXPECT_EQ(visited.load(), 62);
 }
 
 TEST(ThreadPool, ShutdownDrainsUnstartedTasks) {
