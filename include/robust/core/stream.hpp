@@ -53,8 +53,8 @@ struct StreamOptions {
   /// In-row incumbent pruning, forwarded to the metric lane. Bit-neutral.
   bool prune = true;
   /// Boundary policy for the file lane: header validation caps and the
-  /// payload finiteness check (fused into the first pass over each
-  /// shard). analyzeStreamValues() does not consult it — in-memory spans
+  /// payload finiteness check (fused into each block's pass; the first
+  /// non-finite value in instance order is reported). analyzeStreamValues() does not consult it — in-memory spans
   /// are the caller's trusted data, matching analyzeBatchMetric.
   InputPolicy policy{};
 };

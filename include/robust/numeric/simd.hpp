@@ -60,6 +60,19 @@ void setTarget(Target target) noexcept;
 void dotRowsBlocked(const double* rowMajor, std::size_t rows,
                     std::span<const double> x, double* out);
 
+/// dotRowsBlocked over gathered rows: out[j] = rows[j] . x for j in
+/// [0, count), each row `x.size()` long. Each out[j] is bit-identical to
+/// dotBlocked(rows[j], x); the AVX2 target feeds four rows per pass.
+void dotRowsGathered(const double* const* rows, std::size_t count,
+                     std::span<const double> x, double* out);
+
+/// Blocked squared L2 distance sum_k (a_k - b_k)^2 (sizes must match), in
+/// the same lane schedule as norm2Blocked's sum of squares. Plain
+/// accumulation: a non-finite component makes the sum non-finite, and
+/// finite inputs can overflow it to +inf.
+[[nodiscard]] double squaredDistanceBlocked(std::span<const double> a,
+                                            std::span<const double> b);
+
 /// Blocked l1 norm (sum of absolute values).
 [[nodiscard]] double norm1Blocked(std::span<const double> a);
 

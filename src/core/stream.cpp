@@ -1,5 +1,7 @@
 #include "robust/core/stream.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -68,16 +70,48 @@ Winner combine(const Winner& a, const Winner& b) noexcept {
 struct ShardOutcome {
   Winner winner;
   std::uint64_t screened = 0;
+  std::uint64_t prescreenPasses = 0;
 };
 
-/// Reusable per-worker scratch: the mapped window, the per-instance
-/// perturbation distances, the block-level active-row list, and the
-/// metric-lane workspace. One arena serves every shard a worker pulls,
-/// so the steady state allocates nothing.
+/// Instances per screening block: the unit of the one cache-resident pass
+/// (distance, validation, prescreen, exact re-check) and of the unscreened
+/// lane's validate-then-evaluate step.
+constexpr std::size_t kScreenBlock = 64;
+
+/// Why a call runs the unscreened lane (the `reason` label of
+/// `core.stream.screen_off`).
+enum class ScreenOff { None, Option, Callable, Discrete, NonAnalytic };
+
+const char* toString(ScreenOff reason) noexcept {
+  switch (reason) {
+    case ScreenOff::Option:
+      return "option";
+    case ScreenOff::Callable:
+      return "callable";
+    case ScreenOff::Discrete:
+      return "discrete";
+    case ScreenOff::NonAnalytic:
+      return "non_analytic";
+    case ScreenOff::None:
+      break;
+  }
+  return "none";
+}
+
+/// Reusable per-worker scratch: the mapped window, the current block's
+/// perturbation distances, the block-level active-row list with the
+/// (distance, incumbent) it was built at, the per-instance survivor rows
+/// and their dots, and the unscreened lane's workspace. One arena serves
+/// every shard a worker pulls, so the steady state allocates nothing.
 struct Arena {
   util::MmapFile::View view;
-  std::vector<double> delta;
+  std::array<double, kScreenBlock> delta{};
   std::vector<std::uint32_t> active;
+  double listDelta = -1.0;  ///< below every distance: no list yet
+  double listRho = 0.0;
+  std::vector<std::uint32_t> survivors;
+  std::vector<const double*> survivorRows;
+  std::vector<double> dots;
   std::vector<AnalysisInstance> instances;
   std::vector<MetricResult> results;
   MetricWorkspace metric;
@@ -95,9 +129,17 @@ class StreamEngine {
     // The screen's premises: every feature is an affine row evaluated by
     // the analytic kernel lane, and the metric is not discrete-floored
     // (flooring breaks the strict-inequality argument that lets a
-    // screened instance be discarded).
-    screen_ = opt_.screen && p_.fastSolver_ && p_.callables_.empty() &&
-              !p_.parameter_.discrete && p_.rowCount() > 0;
+    // screened instance be discarded). compile() requires a feature, so
+    // with no callables there is always a row.
+    if (!opt_.screen) {
+      off_ = ScreenOff::Option;
+    } else if (!p_.callables_.empty()) {
+      off_ = ScreenOff::Callable;
+    } else if (p_.parameter_.discrete) {
+      off_ = ScreenOff::Discrete;
+    } else if (!p_.fastSolver_) {
+      off_ = ScreenOff::NonAnalytic;
+    }
     const auto dim = static_cast<double>(p_.dim_);
     relMargin_ = 1e-9 + 1e-15 * dim;
     absCoeff_ = 8.0 * 2.220446049250313e-16 * (dim + 4.0);
@@ -116,7 +158,9 @@ class StreamEngine {
   /// below `rho` for any instance within L2 distance `delta` of the
   /// compiled default origin. The margins majorize every rounding the
   /// evaluating arithmetic can commit (DESIGN.md section 4.11), so a
-  /// screened row can never change the returned bits.
+  /// screened row can never change the returned bits. Every operation is
+  /// monotone under round-to-nearest, so a row screened at (delta, rho)
+  /// stays screened at any smaller delta and rho.
   [[nodiscard]] bool screenRow(std::size_t i, std::size_t r, double delta,
                                double rho) const {
     const double deff = p_.effDual_[r];
@@ -143,29 +187,41 @@ class StreamEngine {
   }
 
   /// The metric lane's exact row arithmetic for one file instance
-  /// (scale 1, compiled constants), restricted to the rows of `active`
-  /// that survive the per-instance screen against `rho`. Returns the
-  /// candidate (metric, binding): exact whenever candidate <= rho.
+  /// (scale 1, compiled constants), restricted to the rows of the block's
+  /// active list that survive the per-instance screen against `rho`. The
+  /// survivors' dots run four rows per kernel pass; rowRadius then sees
+  /// them in list order, so pruning and binding match a row-by-row scan.
+  /// Returns the candidate (metric, binding): exact whenever
+  /// candidate <= rho.
   void scanActiveRows(std::span<const double> x, double delta, double rho,
-                      std::span<const std::uint32_t> active,
-                      double& candidate, std::size_t& binding) const {
+                      Arena& arena, double& candidate,
+                      std::size_t& binding) const {
+    arena.survivors.clear();
+    arena.survivorRows.clear();
+    for (const std::uint32_t idx : arena.active) {
+      const auto i = static_cast<std::size_t>(idx);
+      if (!screenRow(i, p_.rowIndex_[i], delta, rho)) {
+        arena.survivors.push_back(idx);
+        arena.survivorRows.push_back(p_.rowOf(i).data());
+      }
+    }
+    const std::size_t n = arena.survivors.size();
+    arena.dots.resize(n);
+    num::simd::dotRowsGathered(arena.survivorRows.data(), n, x,
+                               arena.dots.data());
     candidate = kInf;
     binding = 0;
-    for (const std::uint32_t idx : active) {
-      const auto i = static_cast<std::size_t>(idx);
-      const std::size_t row = p_.rowIndex_[i];
-      if (screenRow(i, row, delta, rho)) {
-        continue;
-      }
-      const RowRadius r = rowRadius(
-          num::simd::dotBlocked(p_.rowOf(i), x) + p_.constants_[i],
-          p_.effDual_[row], p_.features_[i].bounds, candidate, opt_.prune);
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto i = static_cast<std::size_t>(arena.survivors[j]);
+      const RowRadius r =
+          rowRadius(arena.dots[j] + p_.constants_[i],
+                    p_.effDual_[p_.rowIndex_[i]], p_.features_[i].bounds,
+                    candidate, opt_.prune);
       if (r.verdict == RowVerdict::Pruned) {
         continue;
       }
-      const double radius = r.radius;
-      if (radius < candidate) {
-        candidate = radius;
+      if (r.radius < candidate) {
+        candidate = r.radius;
         binding = i;
       }
     }
@@ -173,7 +229,7 @@ class StreamEngine {
 
   const CompiledProblem& p_;
   const StreamOptions& opt_;
-  bool screen_ = false;
+  ScreenOff off_ = ScreenOff::None;
   double relMargin_ = 0.0;
   double absCoeff_ = 0.0;
 };
@@ -184,7 +240,10 @@ void StreamEngine::scanShard(std::span<const double> vals,
                              SharedMin& shared, bool validate,
                              const std::string& source) const {
   const std::size_t dim = p_.dim_;
-  const std::size_t nFeatures = p_.features_.size();
+  const std::span<const double> origin0 = p_.parameter_.origin;
+  const auto instance = [&](std::size_t i) {
+    return vals.subspan(i * dim, dim);
+  };
 
   auto accept = [&](std::size_t localIdx, double metric, std::size_t binding,
                     bool floored) {
@@ -197,103 +256,118 @@ void StreamEngine::scanShard(std::span<const double> vals,
     shared.update(metric);
   };
 
-  if (!screen_) {
-    // Unscreened lane: the exact cache-blocked batch scan the in-memory
-    // path runs, with the shard as one block and the arena as its
-    // workspace. Handles callables, discrete floors, and non-analytic
-    // solver configurations.
-    if (validate) {
-      for (std::size_t i = 0; i < count; ++i) {
-        const double* x = vals.data() + i * dim;
-        for (std::size_t k = 0; k < dim; ++k) {
-          if (!std::isfinite(x[k])) {
-            util::Diagnostics(source).fail(
-                util::RejectCategory::Domain,
-                static_cast<std::size_t>(firstIndex) + i + 1, k + 1,
-                "payload value " + util::formatValue(x[k]) +
-                    " is not finite");
-          }
-        }
-      }
-    }
-    arena.instances.resize(count);
-    arena.results.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      arena.instances[i] =
-          AnalysisInstance{vals.subspan(i * dim, dim), {}, {}};
-    }
-    p_.metricBlock(arena.instances, arena.results, 0, count, arena.metric,
-                   opt_.prune);
-    for (std::size_t i = 0; i < count; ++i) {
-      accept(i, arena.results[i].metric, arena.results[i].bindingFeature,
-             arena.results[i].floored);
-    }
-    return;
-  }
-
-  // Screened lane. Pass 1 (fused with the boundary's finiteness check):
-  // per-instance L2 distance from the compiled default origin — the only
-  // quantity the screen needs about an instance.
-  arena.delta.resize(count);
-  const double* origin0 = p_.parameter_.origin.data();
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* x = vals.data() + i * dim;
-    double sumSq = 0.0;
+  // The payload boundary: rejects instance i at its first non-finite
+  // component (1-based instance and component in the diagnostic).
+  auto requireFinite = [&](std::size_t i) {
+    const std::span<const double> x = instance(i);
     for (std::size_t k = 0; k < dim; ++k) {
-      const double v = x[k];
-      if (validate && !std::isfinite(v)) {
+      if (!std::isfinite(x[k])) {
         util::Diagnostics(source).fail(
             util::RejectCategory::Domain,
             static_cast<std::size_t>(firstIndex) + i + 1, k + 1,
-            "payload value " + util::formatValue(v) + " is not finite");
+            "payload value " + util::formatValue(x[k]) + " is not finite");
       }
-      const double d = v - origin0[k];
-      sumSq += d * d;
     }
-    arena.delta[i] = std::sqrt(sumSq);
-  }
+  };
 
-  // Pass 2, blockwise: one prescreen with the block's max distance
-  // produces the active-row list every instance of the block shares;
-  // instances then rescreen the (usually tiny) active list with their own
-  // distance and evaluate the survivors row by row.
-  constexpr std::size_t kScreenBlock = 64;
+  // One pass per block: every step below touches only the block's
+  // instances, so they are fetched from memory once and a fault surfaces
+  // at the first bad block in instance order, whichever lane runs.
   for (std::size_t b0 = 0; b0 < count; b0 += kScreenBlock) {
     const std::size_t b1 = std::min(count, b0 + kScreenBlock);
-    double deltaMax = 0.0;
-    for (std::size_t i = b0; i < b1; ++i) {
-      deltaMax = std::max(deltaMax, arena.delta[i]);
-    }
-    const double rhoBlock = std::min(outcome.winner.metric, shared.load());
-    arena.active.clear();
-    for (std::size_t i = 0; i < nFeatures; ++i) {
-      if (!screenRow(i, p_.rowIndex_[i], deltaMax, rhoBlock)) {
-        arena.active.push_back(static_cast<std::uint32_t>(i));
+
+    if (off_ != ScreenOff::None) {
+      // Unscreened lane: the exact cache-blocked batch scan the in-memory
+      // path runs, one block at a time. Handles callables, discrete
+      // floors, and non-analytic solver configurations.
+      if (validate) {
+        for (std::size_t i = b0; i < b1; ++i) {
+          requireFinite(i);
+        }
       }
-    }
-    if (arena.active.empty()) {
-      // Every row of every instance in the block is provably above the
-      // incumbent: the whole block is rejected without a dot product.
-      outcome.screened += b1 - b0;
-      continue;
-    }
-    if (arena.active.size() * 2 >= nFeatures) {
-      // Screen not selective yet (cold incumbent): the full kernel pass
-      // is cheaper per row than per-row dots. Results are exact.
+      arena.instances.resize(b1 - b0);
+      arena.results.resize(b1 - b0);
       for (std::size_t i = b0; i < b1; ++i) {
-        const AnalysisInstance inst{vals.subspan(i * dim, dim), {}, {}};
-        const MetricResult r =
-            p_.evaluateMetric(inst, arena.metric, opt_.prune);
+        arena.instances[i - b0] = AnalysisInstance{instance(i), {}, {}};
+      }
+      p_.metricBlock(arena.instances, arena.results, 0, b1 - b0,
+                     arena.metric, opt_.prune);
+      for (std::size_t i = b0; i < b1; ++i) {
+        const MetricResult& r = arena.results[i - b0];
         accept(i, r.metric, r.bindingFeature, r.floored);
       }
       continue;
     }
+
+    // Screened lane. Per-instance L2 distance from the compiled default
+    // origin — the only quantity the screen needs about an instance —
+    // with the payload check folded in: a non-finite component always
+    // makes the sum non-finite, so only then is the instance scanned for
+    // the diagnostic. A non-finite distance (unvalidated NaN, or finite
+    // values whose squares overflow) reads as +inf, which screens no row.
     for (std::size_t i = b0; i < b1; ++i) {
-      const double rho = std::min(outcome.winner.metric, shared.load());
+      double sumSq = num::simd::squaredDistanceBlocked(instance(i), origin0);
+      if (!(sumSq <= std::numeric_limits<double>::max())) {
+        if (validate) {
+          requireFinite(i);
+        }
+        sumSq = kInf;
+      }
+      arena.delta[i - b0] = std::sqrt(sumSq);
+    }
+
+    std::size_t first = b0;
+    double rhoBlock = shared.load();
+    if (rhoBlock == kInf) {
+      // Warm start: with no incumbent yet the screen rejects nothing, so
+      // one exact metric buys the rest of the block a real incumbent. It
+      // is sound for the reason every later block is: rho-hat is an exact
+      // metric held by some instance.
+      const MetricResult r = p_.evaluateMetric(
+          AnalysisInstance{instance(b0), {}, {}}, arena.metric, opt_.prune);
+      accept(b0, r.metric, r.bindingFeature, r.floored);
+      first = b0 + 1;
+      rhoBlock = shared.load();
+    }
+    if (first == b1) {
+      continue;
+    }
+
+    // One prescreen with the block's max distance produces the active-row
+    // list every instance of the block shares. screenRow is monotone in
+    // delta and rho and rho-hat never rises, so a list built at
+    // (listDelta, listRho) is a superset of the one this block would
+    // build whenever deltaMax <= listDelta: it is kept until a block
+    // reaches farther or the incumbent moves.
+    double deltaMax = 0.0;
+    for (std::size_t i = first; i < b1; ++i) {
+      deltaMax = std::max(deltaMax, arena.delta[i - b0]);
+    }
+    if (deltaMax > arena.listDelta || rhoBlock != arena.listRho) {
+      arena.active.clear();
+      for (std::size_t i = 0; i < p_.features_.size(); ++i) {
+        if (!screenRow(i, p_.rowIndex_[i], deltaMax, rhoBlock)) {
+          arena.active.push_back(static_cast<std::uint32_t>(i));
+        }
+      }
+      arena.listDelta = deltaMax;
+      arena.listRho = rhoBlock;
+      ++outcome.prescreenPasses;
+    }
+    if (arena.active.empty()) {
+      // Every row of every instance in the block is provably above the
+      // incumbent: the whole block is rejected without a dot product.
+      outcome.screened += b1 - first;
+      continue;
+    }
+    // Instances rescreen the (usually tiny) active list with their own
+    // distance and evaluate the survivors exactly.
+    for (std::size_t i = first; i < b1; ++i) {
+      const double rho = shared.load();
       double candidate;
       std::size_t binding;
-      scanActiveRows(vals.subspan(i * dim, dim), arena.delta[i], rho,
-                     arena.active, candidate, binding);
+      scanActiveRows(instance(i), arena.delta[i - b0], rho, arena, candidate,
+                     binding);
       if (candidate > rho) {
         // Every unevaluated row was screened against a value >= rho and
         // the evaluated minimum exceeds rho, so this instance's true
@@ -351,6 +425,10 @@ StreamResult StreamEngine::run(const InstanceFileReader* reader,
     obs::addCounter(kShards, nShards);
     obs::addCounter(kInstances, total);
     obs::maxGauge(kQueue, static_cast<std::int64_t>(nShards));
+    if (off_ != ScreenOff::None) {
+      obs::addCounter(
+          obs::counterId("core.stream.screen_off", "reason", toString(off_)));
+    }
   }
 
   // Dynamic shard tickets over a fixed worker set: any claim order is fine
@@ -387,9 +465,11 @@ StreamResult StreamEngine::run(const InstanceFileReader* reader,
   // first-minimum the serial left fold over instances computes.
   std::vector<Winner> level;
   level.reserve(outcomes.size());
+  std::uint64_t prescreenPasses = 0;
   for (const ShardOutcome& o : outcomes) {
     level.push_back(o.winner);
     result.screenedInstances += o.screened;
+    prescreenPasses += o.prescreenPasses;
   }
   while (level.size() > 1) {
     std::vector<Winner> next;
@@ -409,7 +489,10 @@ StreamResult StreamEngine::run(const InstanceFileReader* reader,
   if (obs::enabled()) [[unlikely]] {
     static const obs::MetricId kScreened =
         obs::counterId("core.stream.instances_screened");
+    static const obs::MetricId kPrescreens =
+        obs::counterId("core.stream.prescreen_passes");
     obs::addCounter(kScreened, result.screenedInstances);
+    obs::addCounter(kPrescreens, prescreenPasses);
   }
   return result;
 }

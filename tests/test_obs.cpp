@@ -12,8 +12,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -117,8 +119,8 @@ TEST_F(ObsMetrics, HistogramBucketsByPowerOfTwo) {
 TEST_F(ObsMetrics, HistogramSaturatesAtLastBucket) {
   const obs::MetricId id = obs::histogramId("test.hist_saturate");
   obs::recordLatency(id, INT64_MAX);  // bit_width = 63, far past bucket 27
-  const obs::HistogramValue* hist =
-      obs::snapshotMetrics().histogram("test.hist_saturate");
+  const auto snapshot = obs::snapshotMetrics();
+  const obs::HistogramValue* hist = snapshot.histogram("test.hist_saturate");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->buckets[obs::kHistogramBuckets - 1], 1u);
 }
@@ -677,7 +679,7 @@ TEST_F(ObsReport, JsonLiteDecodesBmpEscapesAndRejectsSurrogates) {
 /// A compiled problem whose first feature binds tightly and whose remaining
 /// rows are far from their bounds, so the metric lane's incumbent prune
 /// provably skips every row after the first.
-core::CompiledProblem pruneHeavyProblem() {
+core::ProblemSpec pruneHeavySpec() {
   constexpr std::size_t kRows = 40;
   constexpr std::size_t kDims = 8;
   core::ProblemSpec spec;
@@ -694,7 +696,11 @@ core::CompiledProblem pruneHeavyProblem() {
         core::ImpactFunction::affine(std::move(weights)),
         core::ToleranceBounds::atMost(atOrigin + (r == 0 ? 0.01 : 100.0))});
   }
-  return core::CompiledProblem::compile(std::move(spec));
+  return spec;
+}
+
+core::CompiledProblem pruneHeavyProblem() {
+  return core::CompiledProblem::compile(pruneHeavySpec());
 }
 
 TEST_F(ObsMetrics, MetricLaneRecordsDispatchAndPruneMetrics) {
@@ -830,6 +836,112 @@ TEST_F(ObsMetrics, StreamLaneRecordsNothingWhenDisabled) {
   EXPECT_EQ(snapshot.counter("io.mmap.bytes_read"), 0u);
   EXPECT_EQ(snapshot.gauge("core.stream.queue_high_water"), 0);
   EXPECT_EQ(snapshot.gauge("core.stream.inflight_high_water"), 0);
+}
+
+/// The 30 StreamObsFile instances, in memory.
+std::vector<double> streamObsValues() {
+  std::vector<double> values;
+  for (int i = 0; i < 30; ++i) {
+    values.insert(values.end(), 8, 1.0 + 0.001 * static_cast<double>(i + 1));
+  }
+  return values;
+}
+
+constexpr const char* kScreenOffReasons[] = {"option", "callable", "discrete",
+                                             "non_analytic"};
+
+std::uint64_t screenOffCount(const obs::MetricsSnapshot& snapshot,
+                             const char* reason) {
+  return snapshot.counter(
+      obs::labeledMetricName("core.stream.screen_off", "reason", reason));
+}
+
+/// Streams the 30 instances through `spec` twice: the unscreened lane
+/// must count `reason` once per call and no other reason, and run no
+/// prescreen.
+void expectScreenOff(core::ProblemSpec spec, const core::StreamOptions& options,
+                     const char* reason) {
+  const auto problem = core::CompiledProblem::compile(std::move(spec));
+  const std::vector<double> values = streamObsValues();
+  (void)core::analyzeStreamValues(problem, values, options);
+  (void)core::analyzeStreamValues(problem, values, options);
+  const auto snapshot = obs::snapshotMetrics();
+  for (const char* r : kScreenOffReasons) {
+    EXPECT_EQ(screenOffCount(snapshot, r),
+              std::string_view(r) == reason ? 2u : 0u)
+        << r;
+  }
+  EXPECT_EQ(snapshot.counter("core.stream.prescreen_passes"), 0u);
+}
+
+TEST_F(ObsMetrics, StreamScreenOffCountsOptionReason) {
+  core::StreamOptions options;
+  options.screen = false;
+  expectScreenOff(pruneHeavySpec(), options, "option");
+}
+
+TEST_F(ObsMetrics, StreamScreenOffCountsCallableReason) {
+  core::ProblemSpec spec = pruneHeavySpec();
+  spec.features.push_back(core::PerformanceFeature{
+      "sum",
+      core::ImpactFunction::callable([](std::span<const double> x) {
+        double total = 0.0;
+        for (const double v : x) {
+          total += v;
+        }
+        return total;
+      }),
+      core::ToleranceBounds::atMost(1000.0)});
+  expectScreenOff(std::move(spec), {}, "callable");
+}
+
+TEST_F(ObsMetrics, StreamScreenOffCountsDiscreteReason) {
+  core::ProblemSpec spec = pruneHeavySpec();
+  spec.parameter.discrete = true;
+  expectScreenOff(std::move(spec), {}, "discrete");
+}
+
+TEST_F(ObsMetrics, StreamScreenOffCountsNonAnalyticReason) {
+  core::ProblemSpec spec = pruneHeavySpec();
+  spec.options.solver = core::SolverKind::KktNewton;
+  expectScreenOff(std::move(spec), {}, "non_analytic");
+}
+
+TEST_F(ObsMetrics, StreamScreenedLaneCountsPrescreenPasses) {
+  const auto problem = pruneHeavyProblem();
+  const std::vector<double> values = streamObsValues();
+  core::StreamOptions options;
+  options.shardInstances = 7;
+  options.threads = 1;
+  (void)core::analyzeStreamValues(problem, values, options);
+  const auto snapshot = obs::snapshotMetrics();
+  for (const char* r : kScreenOffReasons) {
+    EXPECT_EQ(screenOffCount(snapshot, r), 0u) << r;
+  }
+  // At least one list per worker, at most one per block (5 shards of at
+  // most one block each).
+  EXPECT_GE(snapshot.counter("core.stream.prescreen_passes"), 1u);
+  EXPECT_LE(snapshot.counter("core.stream.prescreen_passes"), 5u);
+}
+
+TEST_F(ObsMetrics, StreamLaneChoiceRecordsNothingWhenDisabled) {
+  core::ProblemSpec spec = pruneHeavySpec();
+  spec.parameter.discrete = true;
+  const auto discrete = core::CompiledProblem::compile(std::move(spec));
+  const auto screened = pruneHeavyProblem();
+  const std::vector<double> values = streamObsValues();
+  core::StreamOptions off;
+  off.screen = false;
+  obs::setEnabled(false);
+  (void)core::analyzeStreamValues(discrete, values, {});
+  (void)core::analyzeStreamValues(screened, values, off);
+  (void)core::analyzeStreamValues(screened, values, {});
+  obs::setEnabled(true);
+  const auto snapshot = obs::snapshotMetrics();
+  for (const char* r : kScreenOffReasons) {
+    EXPECT_EQ(screenOffCount(snapshot, r), 0u) << r;
+  }
+  EXPECT_EQ(snapshot.counter("core.stream.prescreen_passes"), 0u);
 }
 
 // ---------------------------------------------------------------- overhead

@@ -17,8 +17,10 @@
 //      hiperd::robustnessObjective.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
@@ -147,6 +149,111 @@ TEST_F(SimdKernels, DotRowsMatchesPerRowDotBitwise) {
           EXPECT_EQ(out[r], num::simd::dotBlocked(row, x))
               << "rows = " << rows << " dims = " << dims << " r = " << r
               << " target = " << num::simd::toString(target);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernels, DotRowsGatheredMatchesPerRowDotBitwise) {
+  // Rows are gathered out of order, with a repeat, from a 12-row matrix:
+  // each out[j] must carry dotBlocked's bits for its own row, whether it
+  // landed in a four-row pass or in the single-row tail.
+  Pcg32 rng(41);
+  const std::vector<Target> targets =
+      num::simd::avx2Available()
+          ? std::vector<Target>{Target::Scalar, Target::Avx2}
+          : std::vector<Target>{Target::Scalar};
+  constexpr std::size_t kMatrixRows = 12;
+  for (const std::size_t dims :
+       {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{5},
+        std::size_t{7}, std::size_t{512}, std::size_t{513}}) {
+    const auto matrix = randomVec(kMatrixRows * dims, rng);
+    const auto x = randomVec(dims, rng);
+    for (std::size_t count = 0; count <= 9; ++count) {
+      std::vector<const double*> rows(count);
+      for (std::size_t j = 0; j < count; ++j) {
+        rows[j] = j == 5 ? rows[1]
+                         : matrix.data() + (7 * j + count) % kMatrixRows * dims;
+      }
+      for (const Target target : targets) {
+        num::simd::setTarget(target);
+        std::vector<double> out(count,
+                                std::numeric_limits<double>::quiet_NaN());
+        num::simd::dotRowsGathered(rows.data(), count, x, out.data());
+        for (std::size_t j = 0; j < count; ++j) {
+          const std::span<const double> row{rows[j], dims};
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(out[j]),
+                    std::bit_cast<std::uint64_t>(num::simd::dotBlocked(row, x)))
+              << "count = " << count << " dims = " << dims << " j = " << j
+              << " target = " << num::simd::toString(target);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernels, SquaredDistanceMatchesReferenceAcrossSizes) {
+  Pcg32 rng(42);
+  for (std::size_t n = 0; n <= 33; ++n) {
+    const auto a = randomVec(n, rng);
+    const auto b = randomVec(n, rng);
+    double reference = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      reference += (a[i] - b[i]) * (a[i] - b[i]);
+    }
+    EXPECT_NEAR(num::simd::squaredDistanceBlocked(a, b), reference,
+                1e-12 * std::max(1.0, reference))
+        << "n = " << n;
+  }
+  const std::vector<double> a{1.0, 2.0};
+  const std::vector<double> b{1.0};
+  EXPECT_THROW((void)num::simd::squaredDistanceBlocked(a, b),
+               InvalidArgumentError);
+}
+
+TEST_F(SimdKernels, SquaredDistanceScalarAndAvx2AreBitIdentical) {
+  if (!num::simd::avx2Available()) {
+    GTEST_SKIP() << "no AVX2 on this host/build";
+  }
+  const auto both = [](std::span<const double> a, std::span<const double> b) {
+    num::simd::setTarget(Target::Scalar);
+    const double s = num::simd::squaredDistanceBlocked(a, b);
+    num::simd::setTarget(Target::Avx2);
+    const double v = num::simd::squaredDistanceBlocked(a, b);
+    return std::pair{std::bit_cast<std::uint64_t>(s),
+                     std::bit_cast<std::uint64_t>(v)};
+  };
+  Pcg32 rng(43);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        std::size_t{4}, std::size_t{5}, std::size_t{7}, std::size_t{8},
+        std::size_t{13}, std::size_t{17}, std::size_t{512},
+        std::size_t{513}, std::size_t{1003}}) {
+    const auto a = randomVec(n, rng);
+    const auto b = randomVec(n, rng);
+    const auto [s, v] = both(a, b);
+    EXPECT_EQ(s, v) << "n = " << n;
+  }
+  // Hostile values at every lane position of a 7-long vector (one full
+  // block plus a three-lane masked tail), on either side: a single NaN,
+  // +-inf, and finite values whose squares overflow the sum to +inf.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double hostile : {nan, inf, -inf, 1e200, -1e200}) {
+    for (std::size_t pos = 0; pos < 7; ++pos) {
+      for (const bool inA : {true, false}) {
+        auto a = randomVec(7, rng);
+        auto b = randomVec(7, rng);
+        (inA ? a : b)[pos] = hostile;
+        const auto [s, v] = both(a, b);
+        EXPECT_EQ(s, v) << "hostile " << hostile << " at " << pos
+                        << (inA ? " in a" : " in b");
+        const double sum = std::bit_cast<double>(s);
+        if (std::isnan(hostile)) {
+          EXPECT_TRUE(std::isnan(sum));
+        } else {
+          EXPECT_EQ(sum, inf);
         }
       }
     }

@@ -11,6 +11,7 @@
 // bit-identical CSV round trip backing the etc_pack converter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -29,6 +31,7 @@
 #include "robust/core/instance_file.hpp"
 #include "robust/core/stream.hpp"
 #include "robust/numeric/simd.hpp"
+#include "robust/obs/metrics.hpp"
 #include "robust/scheduling/etc.hpp"
 #include "robust/scheduling/etc_io.hpp"
 #include "robust/util/error.hpp"
@@ -351,14 +354,17 @@ TEST(InstanceFile, EtcCsvRoundTripIsByteIdentical) {
 // The bit-identity grid.
 // ---------------------------------------------------------------------------
 
-TEST(AnalyzeStream, BitIdenticalAcrossShardsThreadsTargetsScreens) {
-  const auto problem = streamProblem(96, 24);
-  const auto values = streamBatch(problem, 500, 12);
+/// The grid: file and in-memory sweeps of `values` must equal the serial
+/// fold for every shard size, thread count, SIMD target and screen mode.
+void expectGridMatchesSerial(const CompiledProblem& problem,
+                             const std::vector<double>& values,
+                             const std::string& tag) {
+  const std::size_t dim = problem.dimension();
   const StreamResult want = serialReference(problem, values);
   ASSERT_TRUE(std::isfinite(want.metric));
 
-  TempFile file("grid");
-  writeInstanceFile(file.path(), values, 24);
+  TempFile file(tag);
+  writeInstanceFile(file.path(), values, dim);
 
   std::vector<num::simd::Target> targets = {num::simd::Target::Scalar};
   if (num::simd::avx2Available()) {
@@ -387,13 +393,80 @@ TEST(AnalyzeStream, BitIdenticalAcrossShardsThreadsTargetsScreens) {
   }
   num::simd::setTarget(num::simd::avx2Available() ? num::simd::Target::Avx2
                                                   : num::simd::Target::Scalar);
+}
+
+TEST(AnalyzeStream, BitIdenticalAcrossShardsThreadsTargetsScreens) {
+  const auto problem = streamProblem(96, 24);
+  const auto values = streamBatch(problem, 500, 12);
+  expectGridMatchesSerial(problem, values, "grid");
+
   // The duplicated minimum (if it ever became the min) and the shard
   // reduction both keep the FIRST index; spot-check the counters too.
+  TempFile file("grid_counters");
+  writeInstanceFile(file.path(), values, 24);
   StreamOptions options;
   options.shardInstances = 64;
   const StreamResult got = analyzeStream(problem, file.path(), options);
   EXPECT_EQ(got.instances, 500u);
   EXPECT_EQ(got.shards, 8u);
+}
+
+TEST(AnalyzeStream, AscendingDistanceOrderRebuildsEveryBlockBitIdentical) {
+  // Adversarial for the reused prescreen list: instances sorted by
+  // ascending distance from the origin, so every block reaches farther
+  // than the list before it was built for, and the global minimum sits
+  // in the last block at the largest distance.
+  const auto problem = streamProblem(96, 24);
+  const std::size_t dim = problem.dimension();
+  const std::vector<double>& origin = problem.parameter().origin;
+  constexpr std::size_t kCount = 500;
+  constexpr double kMaxStretch = 0.025;
+  std::vector<std::vector<double>> rows(kCount, std::vector<double>(dim));
+  for (std::size_t i = 0; i + 1 < kCount; ++i) {
+    Pcg32 rng(31, i);
+    const double stretch =
+        kMaxStretch * static_cast<double>(i + 1) / static_cast<double>(kCount);
+    for (std::size_t k = 0; k < dim; ++k) {
+      rows[i][k] = origin[k] * (1.0 + stretch * rng.uniform(0.5, 1.0));
+    }
+  }
+  // Every component pushed further out than any other instance's: the
+  // farthest instance, and (positive weights, atMost bounds) every row
+  // strictly closer to its bound, so it is the unique minimum.
+  for (std::size_t k = 0; k < dim; ++k) {
+    rows[kCount - 1][k] = origin[k] * (1.0 + 1.2 * kMaxStretch);
+  }
+  const auto distance = [&](const std::vector<double>& x) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < dim; ++k) {
+      sum += (x[k] - origin[k]) * (x[k] - origin[k]);
+    }
+    return sum;
+  };
+  std::sort(rows.begin(), rows.end(),
+            [&](const auto& a, const auto& b) {
+              return distance(a) < distance(b);
+            });
+  std::vector<double> values;
+  for (const auto& x : rows) {
+    values.insert(values.end(), x.begin(), x.end());
+  }
+  const StreamResult want = serialReference(problem, values);
+  ASSERT_EQ(want.argminInstance, kCount - 1);
+  ASSERT_GT(want.metric, 0.0);
+  expectGridMatchesSerial(problem, values, "ascending");
+
+  // The order really defeats the reuse: one worker rebuilds the list in
+  // each of the 8 blocks.
+  StreamOptions options;
+  options.threads = 1;
+  obs::setEnabled(true);
+  obs::resetMetrics();
+  (void)analyzeStreamValues(problem, values, options);
+  const auto snapshot = obs::snapshotMetrics();
+  obs::setEnabled(false);
+  obs::resetMetrics();
+  EXPECT_EQ(snapshot.counter("core.stream.prescreen_passes"), 8u);
 }
 
 TEST(AnalyzeStream, TieBreakKeepsFirstInstance) {
@@ -591,6 +664,102 @@ TEST(AnalyzeStream, ScreeningSkipsWorkOnEasyBatches) {
   StreamOptions off = options;
   off.screen = false;
   EXPECT_EQ(analyzeStreamValues(problem, values, off).screenedInstances, 0u);
+}
+
+TEST(AnalyzeStream, WarmStartEvaluatesOneInstanceExactly) {
+  // Only a cold incumbent pays for a full-kernel metric: one instance per
+  // worker, then every other instance is screened or re-checked on its
+  // surviving rows alone.
+  const auto problem = streamProblem(64, 16);
+  const auto values = streamBatch(problem, 2000, 18);
+  const StreamResult want = serialReference(problem, values);
+  StreamOptions options;
+  options.shardInstances = 256;
+  options.threads = 1;
+  obs::setEnabled(true);
+  obs::resetMetrics();
+  const StreamResult got = analyzeStreamValues(problem, values, options);
+  const auto snapshot = obs::snapshotMetrics();
+  obs::setEnabled(false);
+  obs::resetMetrics();
+  expectSameResult(got, want, "warm start");
+  EXPECT_EQ(got.shards, 8u);
+  EXPECT_LE(snapshot.counter("core.kernel.dispatch.scalar") +
+                snapshot.counter("core.kernel.dispatch.avx2"),
+            got.shards);
+}
+
+TEST(AnalyzeStream, FirstNonFiniteValueReportedInInstanceOrderByBothLanes) {
+  // One 4096-instance shard: a NaN deep in the shard (instance 300), and
+  // a NaN in instance 0 — the instance a cold incumbent evaluates first —
+  // ahead of a second one at 300. Both lanes must reject the first bad
+  // value in instance order with the same position.
+  const auto problem = streamProblem(96, 24);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    std::vector<std::pair<std::size_t, std::size_t>> nans;  // (inst, comp)
+    std::size_t line;
+    std::size_t column;
+  };
+  const Case cases[] = {{{{300, 4}}, 301, 5}, {{{0, 1}, {300, 4}}, 1, 2}};
+  for (const Case& c : cases) {
+    std::vector<double> values = streamBatch(problem, 512, 19);
+    for (const auto& [inst, comp] : c.nans) {
+      values[inst * 24 + comp] = nan;
+    }
+    std::ostringstream out(std::ios::binary);
+    InstanceFileWriter writer(out, 24, InputPolicy::permissive());
+    writer.appendBatch(values);
+    writer.finish();
+    TempFile file("fault_order");
+    writeBytes(file.path(), out.str());
+    for (const bool screen : {true, false}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        StreamOptions options;
+        options.threads = threads;
+        options.screen = screen;
+        const std::string what = "line " + std::to_string(c.line) +
+                                 (screen ? " screen" : " noscreen") + " t" +
+                                 std::to_string(threads);
+        try {
+          (void)analyzeStream(problem, file.path(), options);
+          ADD_FAILURE() << what << ": NaN admitted";
+        } catch (const util::ParseError& err) {
+          EXPECT_EQ(err.diagnostic().category, util::RejectCategory::Domain)
+              << what;
+          EXPECT_EQ(err.diagnostic().line, c.line) << what;
+          EXPECT_EQ(err.diagnostic().column, c.column) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(AnalyzeStream, UnvalidatedNanInstanceIsNeverScreenedAway) {
+  // In-memory spans are not validated; an instance holding a NaN then
+  // has every row violated (radius 0) in the serial lane. The screen must
+  // not discard it even inside a block whose other instances all screen.
+  const auto problem = streamProblem(64, 16);
+  std::vector<double> values(2000 * 16);
+  for (std::size_t i = 0; i < 2000; ++i) {
+    Pcg32 rng(20, i);
+    for (std::size_t k = 0; k < 16; ++k) {
+      values[i * 16 + k] =
+          problem.parameter().origin[k] * rng.uniform(0.99, 1.01);
+    }
+  }
+  values[1500 * 16 + 3] = std::numeric_limits<double>::quiet_NaN();
+  const StreamResult want = serialReference(problem, values);
+  ASSERT_EQ(want.argminInstance, 1500u);
+  ASSERT_EQ(want.metric, 0.0);
+  for (const std::size_t threads : {1u, 4u}) {
+    StreamOptions options;
+    options.shardInstances = 256;
+    options.threads = threads;
+    const StreamResult got = analyzeStreamValues(problem, values, options);
+    expectSameResult(got, want, "nan t" + std::to_string(threads));
+    EXPECT_GT(got.screenedInstances, 0u);
+  }
 }
 
 }  // namespace
