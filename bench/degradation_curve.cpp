@@ -11,8 +11,9 @@
 // a wrong answer is worse than no number:
 //
 //   1. bit-identity: a 4096-sample curve is recomputed across thread
-//      counts {1, 8}, shard sizes {512, 8192}, and dispatch targets
-//      (scalar vs AVX2 when available); every critical radius must be
+//      counts {1, 8}, shard sizes {512, the default, 8192}, and dispatch
+//      targets (scalar vs AVX2 when available); every critical radius and
+//      every digest point (radius, probability, band) must be
 //      bit-identical.
 //   2. differential: at nine midpoint radii the naive per-radius grid
 //      estimator (re-evaluate every affine row at origin + r*u) must
@@ -107,12 +108,21 @@ bool bitEq(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-bool radiiBitEqual(const curve::CurveResult& a, const curve::CurveResult& b) {
-  if (a.radii.size() != b.radii.size()) {
+/// Every sorted radius and every field of every digest point, bit for bit.
+bool curveBitEqual(const curve::CurveResult& a, const curve::CurveResult& b) {
+  if (a.radii.size() != b.radii.size() || a.points.size() != b.points.size()) {
     return false;
   }
   for (std::size_t i = 0; i < a.radii.size(); ++i) {
     if (!bitEq(a.radii[i], b.radii[i])) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    const curve::CurvePoint& p = a.points[i];
+    const curve::CurvePoint& q = b.points[i];
+    if (!bitEq(p.radius, q.radius) || !bitEq(p.probability, q.probability) ||
+        !bitEq(p.lower, q.lower) || !bitEq(p.upper, q.upper)) {
       return false;
     }
   }
@@ -203,11 +213,13 @@ int main(int argc, char** argv) {
     pinOptions.shardSamples = 512;
     const curve::CurveResult pinned = curve::computeCurve(problem, pinOptions);
     for (const std::size_t t : {std::size_t{8}}) {
-      for (const std::size_t shard : {std::size_t{512}, std::size_t{8192}}) {
+      for (const std::size_t shard :
+           {std::size_t{512}, curve::CurveOptions{}.shardSamples,
+            std::size_t{8192}}) {
         curve::CurveOptions o = pinOptions;
         o.threads = t;
         o.shardSamples = shard;
-        if (!radiiBitEqual(pinned, curve::computeCurve(problem, o))) {
+        if (!curveBitEqual(pinned, curve::computeCurve(problem, o))) {
           std::cerr << "FAIL: curve bits differ at threads=" << t
                     << " shard=" << shard << '\n';
           return 1;
@@ -223,13 +235,14 @@ int main(int argc, char** argv) {
       num::simd::setTarget(num::simd::Target::Avx2);
       const curve::CurveResult avx2 = curve::computeCurve(problem, pinOptions);
       num::simd::setTarget(savedTarget);
-      if (!radiiBitEqual(scalar, avx2)) {
+      if (!curveBitEqual(scalar, avx2)) {
         std::cerr << "FAIL: curve bits differ between scalar and avx2\n";
         return 1;
       }
       simdPinned = true;
     }
-    std::cout << "bit-identity: threads {1,8} x shards {512,8192}"
+    std::cout << "bit-identity: threads {1,8} x shards {512,"
+              << curve::CurveOptions{}.shardSamples << ",8192}"
               << (simdPinned ? " x {scalar,avx2}" : "")
               << " all bit-identical\n";
 
@@ -306,7 +319,7 @@ int main(int argc, char** argv) {
       if (elapsed < serialBest) {
         serialBest = elapsed;
       }
-      if (!radiiBitEqual(result, serial)) {
+      if (!curveBitEqual(result, serial)) {
         std::cerr << "FAIL: serial full-size curve diverges from pooled\n";
         return 1;
       }

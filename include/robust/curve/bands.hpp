@@ -12,6 +12,10 @@
 // Both are hand-rolled (regularized incomplete beta via a Lentz continued
 // fraction plus bisection) so results are deterministic across platforms
 // and standard libraries — the bands land in committed bench baselines.
+// The bisection halves until its midpoint rounds onto an end of the
+// bracket (at most 200 halvings) and returns that fixed point; each
+// interval is a pure function of (k, n, confidence), safe to compute on
+// any thread in any order.
 #pragma once
 
 #include <cstddef>

@@ -64,7 +64,10 @@ struct CurveOptions {
   std::size_t gridPoints = 64;    ///< points reported on the curve digest
   double confidence = 0.99;       ///< band level for DKW + Clopper-Pearson
   std::size_t threads = 0;        ///< 0 = defaultThreadCount()
-  std::size_t shardSamples = 8192;///< samples per dispatch shard
+  /// Samples per dispatch shard. Workers pull shards from a shared
+  /// ticket, so shards small against samples / threads keep every worker
+  /// busy to the end; the result is bit-identical for any value.
+  std::size_t shardSamples = 1024;
   bool prune = true;              ///< row screen (false pins bit-equality)
   bool useCache = true;           ///< consult the per-content-key cache
 };

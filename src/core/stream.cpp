@@ -71,6 +71,7 @@ struct ShardOutcome {
   Winner winner;
   std::uint64_t screened = 0;
   std::uint64_t prescreenPasses = 0;
+  std::uint64_t rowsRechecked = 0;  ///< survivor rows given an exact dot
 };
 
 /// Instances per screening block: the unit of the one cache-resident pass
@@ -368,6 +369,7 @@ void StreamEngine::scanShard(std::span<const double> vals,
       std::size_t binding;
       scanActiveRows(instance(i), arena.delta[i - b0], rho, arena, candidate,
                      binding);
+      outcome.rowsRechecked += arena.survivors.size();
       if (candidate > rho) {
         // Every unevaluated row was screened against a value >= rho and
         // the evaluated minimum exceeds rho, so this instance's true
@@ -458,6 +460,11 @@ StreamResult StreamEngine::run(const InstanceFileReader* reader,
                               : values.subspan(first * dim, count * dim);
         scanShard(vals, first, count, arena, outcomes[s], shared, validate,
                   source);
+        if (obs::enabled()) [[unlikely]] {
+          static const obs::MetricId kRechecked =
+              obs::counterId("core.stream.rows_rechecked");
+          obs::addCounter(kRechecked, outcomes[s].rowsRechecked);
+        }
       });
 
   // Fixed-order pairwise reduction over the shard winners. Every combine

@@ -1,5 +1,7 @@
 #include "robust/curve/bands.hpp"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "robust/util/error.hpp"
@@ -56,9 +58,35 @@ double betaContinuedFraction(double a, double b, double x) {
   return h;
 }
 
-/// Smallest x with I_x(a, b) >= p, by bisection. The incomplete beta is
-/// continuous and strictly increasing in x on (0, 1), so 200 halvings pin
-/// the root far below the band's statistical resolution.
+/// ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b), through the
+/// reentrant lgamma_r: std::lgamma returns the same value but also writes
+/// the global signgam, a data race once bands run on several threads.
+double lnBetaFunction(double a, double b) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign) + ::lgamma_r(b, &sign) -
+         ::lgamma_r(a + b, &sign);
+}
+
+/// I_x(a, b) for x strictly inside (0, 1), given lnBeta = ln B(a, b).
+/// Unchecked: the public regularizedIncompleteBeta validates its inputs
+/// and the bisection below only probes midpoints of (0, 1).
+double incompleteBetaInterior(double a, double b, double x, double lnBeta) {
+  const double front =
+      std::exp(a * std::log(x) + b * std::log(1.0 - x) - lnBeta);
+  // The continued fraction converges fast only on one side of the mean;
+  // use the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) for the other.
+  if (x < (a + 1.0) / (a + b + 2.0)) {
+    return front * betaContinuedFraction(a, b, x) / a;
+  }
+  return 1.0 - front * betaContinuedFraction(b, a, 1.0 - x) / b;
+}
+
+/// Smallest x with I_x(a, b) >= p, by bisection on (lo, hi) with the
+/// invariants I(lo) < p and I(hi) >= p. Once the midpoint rounds onto lo
+/// or hi, re-evaluating I there takes the same branch, so every further
+/// halving leaves (lo, hi) unchanged: stopping at that fixed point returns
+/// the bits the full 200 halvings would. The cap only bounds roots so
+/// small that no two adjacent doubles are reached within 200 halvings.
 double inverseRegularizedBeta(double p, double a, double b) {
   if (p <= 0.0) {
     return 0.0;
@@ -66,11 +94,15 @@ double inverseRegularizedBeta(double p, double a, double b) {
   if (p >= 1.0) {
     return 1.0;
   }
+  const double lnBeta = lnBetaFunction(a, b);
   double lo = 0.0;
   double hi = 1.0;
   for (int i = 0; i < 200; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (regularizedIncompleteBeta(a, b, mid) < p) {
+    if (mid == lo || mid == hi) {
+      break;
+    }
+    if (incompleteBetaInterior(a, b, mid, lnBeta) < p) {
       lo = mid;
     } else {
       hi = mid;
@@ -93,16 +125,7 @@ double regularizedIncompleteBeta(double a, double b, double x) {
   if (x >= 1.0) {
     return 1.0;
   }
-  const double lnBeta =
-      std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
-  const double front =
-      std::exp(a * std::log(x) + b * std::log(1.0 - x) - lnBeta);
-  // The continued fraction converges fast only on one side of the mean;
-  // use the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) for the other.
-  if (x < (a + 1.0) / (a + b + 2.0)) {
-    return front * betaContinuedFraction(a, b, x) / a;
-  }
-  return 1.0 - front * betaContinuedFraction(b, a, 1.0 - x) / b;
+  return incompleteBetaInterior(a, b, x, lnBetaFunction(a, b));
 }
 
 double dkwEpsilon(std::size_t samples, double confidence) {

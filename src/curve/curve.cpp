@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <list>
 #include <mutex>
@@ -13,6 +14,7 @@
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/json_lite.hpp"
 #include "robust/obs/metrics.hpp"
+#include "robust/obs/trace.hpp"
 #include "robust/random/distributions.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/rng.hpp"
@@ -317,7 +319,33 @@ class CurveEngine {
     r.rho = p.evaluateMetric().metric;
     r.fastLane = fastLaneEligible(p);
     r.radii.assign(o.samples, 0.0);
+    {
+      const obs::Span span("curve.samples");
+      sampleRadii(p, o, r);
+    }
+    {
+      const obs::Span span("curve.sort");
+      std::sort(r.radii.begin(), r.radii.end());
+      r.finiteRadii = static_cast<std::size_t>(
+          std::lower_bound(r.radii.begin(), r.radii.end(), kInf) -
+          r.radii.begin());
+    }
+    {
+      const obs::Span span("curve.bands");
+      buildPoints(r, o.gridPoints, o.threads);
+    }
 
+    if (obs::enabled()) [[unlikely]] {
+      static const obs::MetricId kSamples = obs::counterId("curve.samples");
+      obs::addCounter(kSamples, o.samples);
+    }
+    return r;
+  }
+
+  /// Fills r.radii[i] with sample i's critical radius, on the closed-form
+  /// lane when the spec allows it and the bracket/bisect lane otherwise.
+  static void sampleRadii(const core::CompiledProblem& p,
+                          const CurveOptions& o, CurveResult& r) {
     if (r.fastLane) {
       const FastPlan plan = buildFastPlan(p);
       if (!plan.originViolated) {
@@ -382,56 +410,58 @@ class CurveEngine {
             countShard();
           });
     }
-
-    std::sort(r.radii.begin(), r.radii.end());
-    r.finiteRadii = static_cast<std::size_t>(
-        std::lower_bound(r.radii.begin(), r.radii.end(), kInf) -
-        r.radii.begin());
-    buildPoints(r, o.gridPoints);
-
-    if (obs::enabled()) [[unlikely]] {
-      static const obs::MetricId kSamples = obs::counterId("curve.samples");
-      obs::addCounter(kSamples, o.samples);
-    }
-    return r;
   }
 
   /// Quantile-spaced digest over the finite radii: grid index j lands on
   /// the j/(g-1) quantile sample, consecutive duplicates collapse, and
   /// every point carries its exact Clopper-Pearson band. Quantile spacing
   /// (vs a linear radius grid) covers the CDF uniformly in probability,
-  /// so heavy upper tails cannot starve the informative region.
-  static void buildPoints(CurveResult& r, std::size_t gridPoints) {
+  /// so heavy upper tails cannot starve the informative region. The walk
+  /// is serial and cheap; the bands, two beta inversions per point and
+  /// each a pure function of (count, N, confidence) written to its own
+  /// point, run on `threads` workers.
+  static void buildPoints(CurveResult& r, std::size_t gridPoints,
+                          std::size_t threads) {
     r.points.clear();
     const std::size_t n = r.samples;
     if (n == 0) {
       return;
     }
+    std::vector<std::uint64_t> counts;
     const std::size_t fin = r.finiteRadii;
     if (fin == 0) {
-      const BinomialInterval band = clopperPearson(0, n, r.confidence);
       const double anchor = std::isfinite(r.rho) ? r.rho : 0.0;
-      r.points.push_back(CurvePoint{anchor, 0.0, band.lower, band.upper});
-      return;
-    }
-    const std::size_t g =
-        std::max<std::size_t>(1, std::min(gridPoints, fin));
-    double prevRadius = -kInf;
-    for (std::size_t j = 0; j < g; ++j) {
-      const std::size_t idx = g == 1 ? fin - 1 : j * (fin - 1) / (g - 1);
-      const double radius = r.radii[idx];
-      if (radius == prevRadius) {
-        continue;
+      r.points.push_back(CurvePoint{anchor, 0.0});
+      counts.push_back(0);
+    } else {
+      const std::size_t g =
+          std::max<std::size_t>(1, std::min(gridPoints, fin));
+      double prevRadius = -kInf;
+      for (std::size_t j = 0; j < g; ++j) {
+        const std::size_t idx = g == 1 ? fin - 1 : j * (fin - 1) / (g - 1);
+        const double radius = r.radii[idx];
+        if (radius == prevRadius) {
+          continue;
+        }
+        prevRadius = radius;
+        const auto count = static_cast<std::uint64_t>(
+            std::upper_bound(r.radii.begin(), r.radii.end(), radius) -
+            r.radii.begin());
+        r.points.push_back(CurvePoint{
+            radius, static_cast<double>(count) / static_cast<double>(n)});
+        counts.push_back(count);
       }
-      prevRadius = radius;
-      const auto count = static_cast<std::uint64_t>(
-          std::upper_bound(r.radii.begin(), r.radii.end(), radius) -
-          r.radii.begin());
-      const BinomialInterval band = clopperPearson(count, n, r.confidence);
-      r.points.push_back(CurvePoint{
-          radius, static_cast<double>(count) / static_cast<double>(n),
-          band.lower, band.upper});
     }
+    forEachShard(
+        counts.size(), /*shardSize=*/1, threads, [] { return 0; },
+        [&](std::size_t, std::size_t lo, std::size_t hi, int) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            const BinomialInterval band =
+                clopperPearson(counts[i], n, r.confidence);
+            r.points[i].lower = band.lower;
+            r.points[i].upper = band.upper;
+          }
+        });
   }
 };
 

@@ -13,11 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,7 +30,9 @@
 #include "robust/curve/curve.hpp"
 #include "robust/curve/drift.hpp"
 #include "robust/numeric/simd.hpp"
+#include "robust/obs/json_lite.hpp"
 #include "robust/obs/metrics.hpp"
+#include "robust/obs/trace.hpp"
 #include "robust/random/distributions.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/rng.hpp"
@@ -50,6 +55,22 @@ bool radiiBitEqual(const std::vector<double>& a, const std::vector<double>& b) {
   }
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (!bitEq(a[i], b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every field of every digest point, bit for bit.
+bool pointsBitEqual(const std::vector<CurvePoint>& a,
+                    const std::vector<CurvePoint>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!bitEq(a[i].radius, b[i].radius) ||
+        !bitEq(a[i].probability, b[i].probability) ||
+        !bitEq(a[i].lower, b[i].lower) || !bitEq(a[i].upper, b[i].upper)) {
       return false;
     }
   }
@@ -199,14 +220,21 @@ TEST(CurveBits, PinnedAcrossThreadsShardsAndSimd) {
   const CurveResult reference = computeCurve(problem, base);
   ASSERT_EQ(reference.radii.size(), base.samples);
   EXPECT_TRUE(reference.fastLane);
+  ASSERT_GT(reference.points.size(), 1u);
 
+  // The bands run on the same worker count as the samples, one point per
+  // ticket; the digest must not depend on it either.
   for (std::size_t threads : {1u, 2u, 8u}) {
-    for (std::size_t shard : {64u, 1000u, 4096u}) {
+    for (std::size_t shard :
+         {std::size_t{64}, std::size_t{1000}, std::size_t{4096},
+          CurveOptions{}.shardSamples}) {
       CurveOptions o = base;
       o.threads = threads;
       o.shardSamples = shard;
       const CurveResult got = computeCurve(problem, o);
       EXPECT_TRUE(radiiBitEqual(reference.radii, got.radii))
+          << "threads=" << threads << " shard=" << shard;
+      EXPECT_TRUE(pointsBitEqual(reference.points, got.points))
           << "threads=" << threads << " shard=" << shard;
     }
   }
@@ -248,6 +276,58 @@ TEST(CurveObs, RowsVisitedCountsEverySample) {
     EXPECT_EQ(snap.counter("curve.rows_visited"), 1000u * 24u) << threads;
     EXPECT_EQ(snap.counter("curve.shards"), 4u) << threads;
   }
+}
+
+// Test clock for the span test: pool workers read it too, so it is atomic.
+std::atomic<std::int64_t> gFakeNanos{0};
+std::int64_t fakeClock() noexcept { return gFakeNanos.fetch_add(500); }
+
+/// Occurrences of each curve stage span in the current trace export.
+std::map<std::string, int> curveSpanCounts() {
+  std::ostringstream out;
+  obs::writeTrace(out);
+  const obs::json::Value doc = obs::json::parse(out.str());
+  std::map<std::string, int> counts;
+  const obs::json::Value* events = doc.find("traceEvents");
+  if (events == nullptr) {
+    return counts;
+  }
+  for (const obs::json::Value& event : events->array) {
+    const std::string& name = event.find("name")->string;
+    if (name.starts_with("curve.")) {
+      ++counts[name];
+    }
+  }
+  return counts;
+}
+
+TEST(CurveObs, StageSpansRecordOncePerComputedCurve) {
+  const CompiledProblem problem = curveProblem(24, 8);
+  CurveOptions o;
+  o.samples = 3000;
+  o.useCache = false;
+  o.threads = 3;
+  o.shardSamples = 256;
+
+  obs::clearTrace();
+  (void)computeCurve(problem, o);  // obs off: no span is recorded
+  EXPECT_TRUE(curveSpanCounts().empty());
+
+  {
+    ObsGuard obs;
+    obs::clearTrace();
+    gFakeNanos = 1'000'000;
+    obs::detail::setClockForTesting(&fakeClock);
+    for (int call = 0; call < 2; ++call) {
+      o.seed = 5 + static_cast<std::uint64_t>(call);
+      (void)computeCurve(problem, o);
+    }
+    obs::detail::setClockForTesting(nullptr);
+    const std::map<std::string, int> expected{
+        {"curve.bands", 2}, {"curve.samples", 2}, {"curve.sort", 2}};
+    EXPECT_EQ(curveSpanCounts(), expected);
+  }
+  obs::clearTrace();
 }
 
 // ------------------------------------------------- closed-form vs oracle
@@ -505,6 +585,64 @@ TEST(Bands, ClopperPearsonReference) {
   EXPECT_NEAR(all.lower, std::pow(0.025, 1.0 / 20.0), 1e-9);
 
   EXPECT_THROW((void)clopperPearson(3, 2, 0.95), InvalidArgumentError);
+}
+
+TEST(Bands, ClopperPearsonBitsAreFrozen) {
+  // Captured from a reference bisection that ran all 200 halvings and
+  // recomputed ln B(a, b) at every step. Stopping at the fixed point and
+  // hoisting ln B must leave every bit in place. k is {0, 1, n/2, n-1, n}.
+  struct Frozen {
+    std::uint64_t k;
+    std::uint64_t n;
+    double confidence;
+    double lower;
+    double upper;
+  };
+  constexpr Frozen kFrozen[] = {
+      {0, 1, 0.95, 0x0p+0, 0x1.f333333333332p-1},
+      {1, 1, 0.95, 0x1.99999999999ap-6, 0x1p+0},
+      {0, 20, 0.95, 0x0p+0, 0x1.58f3a5cb6496ep-3},
+      {1, 20, 0.95, 0x1.4ba2b814b1448p-10, 0x1.fd679a4c658cep-3},
+      {10, 20, 0.95, 0x1.167c1e5704302p-2, 0x1.74c1f0d47de7ep-1},
+      {19, 20, 0.95, 0x1.80a6196ce69ccp-1, 0x1.ff5a2ea3f5a76p-1},
+      {20, 20, 0.95, 0x1.a9c3168d26da4p-1, 0x1p+0},
+      {0, 26492, 0.95, 0x0p+0, 0x1.23ff67775a8p-13},
+      {1, 26492, 0.95, 0x1.0089a01d6fea6p-20, 0x1.b905d390ab8p-13},
+      {13246, 26492, 0.95, 0x1.f9d0c8e53d3d8p-2, 0x1.03179b8d61614p-1},
+      {26491, 26492, 0.95, 0x1.ffe46fa2c6f54p-1, 0x1.ffffdfeecbfc6p-1},
+      {26492, 26492, 0.95, 0x1.ffedc009888a6p-1, 0x1p+0},
+      {0, 1000000, 0.95, 0x0p+0, 0x1.ef1cb2fa6p-19},
+      {1, 1000000, 0.95, 0x1.b2f4e54a039aep-26, 0x1.75e7e2c35p-18},
+      {500000, 1000000, 0.95, 0x1.fefef90c0a71cp-2, 0x1.00808379fac72p-1},
+      {999999, 1000000, 0.95, 0x1.ffff450c0e9e6p-1, 0x1.ffffff26858d6p-1},
+      {1000000, 1000000, 0.95, 0x1.ffff8438d3416p-1, 0x1p+0},
+      {0, 1, 0.99, 0x0p+0, 0x1.fd70a3d70a3d6p-1},
+      {1, 1, 0.99, 0x1.47ae147ae148p-8, 0x1p+0},
+      {0, 20, 0.99, 0x0p+0, 0x1.dca148dc7ff1ap-3},
+      {1, 20, 0.99, 0x1.06c4c478aac1ap-12, 0x1.44c0cd8be9e96p-2},
+      {10, 20, 0.99, 0x1.bdf264bfdddcp-3, 0x1.908366d00888cp-1},
+      {19, 20, 0.99, 0x1.5d9f993a0b0bp-1, 0x1.ffdf276770eaap-1},
+      {20, 20, 0.99, 0x1.88d7adc8e0036p-1, 0x1p+0},
+      {0, 26492, 0.99, 0x0p+0, 0x1.a361c57ca28p-13},
+      {1, 26492, 0.99, 0x1.96531733ddd56p-23, 0x1.260e20bedccp-12},
+      {13246, 26492, 0.99, 0x1.f7e0e9767810cp-2, 0x1.040f8b44c3f7ap-1},
+      {26491, 26492, 0.99, 0x1.ffdb3e3be8246p-1, 0x1.fffff9a6b3a34p-1},
+      {26492, 26492, 0.99, 0x1.ffe5c9e3a835ep-1, 0x1p+0},
+      {0, 1000000, 0.99, 0x0p+0, 0x1.6390287a3p-18},
+      {1, 1000000, 0.99, 0x1.5875916eb51a6p-28, 0x1.f2a03e101p-18},
+      {500000, 1000000, 0.99, 0x1.feae401f1a8f8p-2, 0x1.00a8dff072b84p-1},
+      {999999, 1000000, 0.99, 0x1.ffff06afe0f8p-1, 0x1.ffffffd4f14dep-1},
+      {1000000, 1000000, 0.99, 0x1.ffff4e37ebc2ep-1, 0x1p+0},
+  };
+  for (const Frozen& f : kFrozen) {
+    const BinomialInterval band = clopperPearson(f.k, f.n, f.confidence);
+    EXPECT_TRUE(bitEq(band.lower, f.lower))
+        << "k=" << f.k << " n=" << f.n << " c=" << f.confidence
+        << " lower=" << std::hexfloat << band.lower;
+    EXPECT_TRUE(bitEq(band.upper, f.upper))
+        << "k=" << f.k << " n=" << f.n << " c=" << f.confidence
+        << " upper=" << std::hexfloat << band.upper;
+  }
 }
 
 // ----------------------------------------------------------------- cache

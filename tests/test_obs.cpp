@@ -10,6 +10,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -244,22 +246,37 @@ TEST_F(ObsMetrics, LabeledCountersMergeRetiredThreadsExactly) {
 // crash or throw on the recording path: once the table fills, new label
 // values degrade to the shared {tenant=_other_} aggregation bucket that
 // was reserved at the first labeled registration.
+//
+// Filling the table is permanent for the process: resetMetrics() zeroes
+// values but cannot free names, because call sites cache their MetricIds.
+// The body therefore runs in a death-test child, which exits 0 only when
+// every assertion held, so the rest of the binary keeps a usable table.
 TEST_F(ObsMetrics, LabeledRegistrationOverflowsToAggregationBucket) {
-  const obs::MetricId overflow = obs::counterId("test.ovf", "tenant", "_other_");
-  std::uint64_t overflowed = 0;
-  for (int i = 0; i < 400; ++i) {
-    const obs::MetricId id =
-        obs::counterId("test.ovf", "tenant", "t" + std::to_string(i));
-    obs::addCounter(id);
-    if (id == overflow) {
-      ++overflowed;
+  const auto body = [] {
+    const obs::MetricId overflow =
+        obs::counterId("test.ovf", "tenant", "_other_");
+    std::uint64_t overflowed = 0;
+    for (int i = 0; i < 400; ++i) {
+      const obs::MetricId id =
+          obs::counterId("test.ovf", "tenant", "t" + std::to_string(i));
+      obs::addCounter(id);
+      if (id == overflow) {
+        ++overflowed;
+      }
     }
-  }
-  ASSERT_GT(overflowed, 0u) << "400 label values never exhausted the table";
-  const auto snapshot = obs::snapshotMetrics();
-  EXPECT_EQ(snapshot.counter("test.ovf{tenant=_other_}"), overflowed);
-  // The series registered before exhaustion stay exact.
-  EXPECT_EQ(snapshot.counter("test.ovf{tenant=t0}"), 1u);
+    ASSERT_GT(overflowed, 0u) << "400 label values never exhausted the table";
+    const auto snapshot = obs::snapshotMetrics();
+    EXPECT_EQ(snapshot.counter("test.ovf{tenant=_other_}"), overflowed);
+    // The series registered before exhaustion stay exact.
+    EXPECT_EQ(snapshot.counter("test.ovf{tenant=t0}"), 1u);
+  };
+  EXPECT_EXIT(
+      {
+        body();
+        std::fflush(nullptr);
+        std::_Exit(::testing::Test::HasFailure() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(ObsMetrics, HistogramQuantilesUseBucketUpperBounds) {
@@ -924,6 +941,44 @@ TEST_F(ObsMetrics, StreamScreenedLaneCountsPrescreenPasses) {
   EXPECT_LE(snapshot.counter("core.stream.prescreen_passes"), 5u);
 }
 
+// Rows 1..39 of pruneHeavyProblem sit 100 above their bound and never
+// survive the prescreen; row 0 is within reach of every instance. On one
+// worker the first instance is the warm start (an exact metric, not a
+// re-check), so each of the other 29 re-checks exactly row 0, however the
+// instances are cut into shards.
+TEST_F(ObsMetrics, StreamScreenedLaneCountsRecheckedRows) {
+  const auto problem = pruneHeavyProblem();
+  const std::vector<double> values = streamObsValues();
+  for (const std::size_t shard : {std::size_t{7}, std::size_t{64}}) {
+    obs::resetMetrics();
+    core::StreamOptions options;
+    options.shardInstances = shard;
+    options.threads = 1;
+    (void)core::analyzeStreamValues(problem, values, options);
+    EXPECT_EQ(obs::snapshotMetrics().counter("core.stream.rows_rechecked"),
+              29u)
+        << "shard=" << shard;
+  }
+
+  // Any worker count: at least one warm start, at most one per worker.
+  obs::resetMetrics();
+  core::StreamOptions twoWorkers;
+  twoWorkers.shardInstances = 7;
+  twoWorkers.threads = 2;
+  (void)core::analyzeStreamValues(problem, values, twoWorkers);
+  const std::uint64_t rechecked =
+      obs::snapshotMetrics().counter("core.stream.rows_rechecked");
+  EXPECT_GE(rechecked, 28u);
+  EXPECT_LE(rechecked, 29u);
+
+  // The unscreened lane evaluates whole blocks: nothing is re-checked.
+  obs::resetMetrics();
+  core::StreamOptions off;
+  off.screen = false;
+  (void)core::analyzeStreamValues(problem, values, off);
+  EXPECT_EQ(obs::snapshotMetrics().counter("core.stream.rows_rechecked"), 0u);
+}
+
 TEST_F(ObsMetrics, StreamLaneChoiceRecordsNothingWhenDisabled) {
   core::ProblemSpec spec = pruneHeavySpec();
   spec.parameter.discrete = true;
@@ -942,6 +997,7 @@ TEST_F(ObsMetrics, StreamLaneChoiceRecordsNothingWhenDisabled) {
     EXPECT_EQ(screenOffCount(snapshot, r), 0u) << r;
   }
   EXPECT_EQ(snapshot.counter("core.stream.prescreen_passes"), 0u);
+  EXPECT_EQ(snapshot.counter("core.stream.rows_rechecked"), 0u);
 }
 
 // ---------------------------------------------------------------- overhead
