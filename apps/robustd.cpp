@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -24,6 +25,8 @@
 #include "robust/obs/report.hpp"
 #include "robust/util/args.hpp"
 #include "robust/util/diagnostics.hpp"
+#include "robust/util/error.hpp"
+#include "robust/util/thread_pool.hpp"
 
 namespace {
 
@@ -59,13 +62,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  constexpr std::int64_t kUnbounded = std::numeric_limits<std::int64_t>::max();
   robust::net::ServerOptions options;
   options.unixPath = args.getString("unix", "");
-  options.tcpPort = static_cast<std::uint16_t>(args.getInt("port", 0));
-  options.workers = static_cast<std::size_t>(args.getInt("workers", 0));
-  options.cacheCapacity = static_cast<std::size_t>(args.getInt("cache", 64));
-  options.maxInflightBytes =
-      static_cast<std::size_t>(args.getInt("max-inflight", 4 << 20));
+  try {
+    // Range-checked before the casts, so a bad value is refused (before
+    // any thread exists) instead of wrapping.
+    options.tcpPort =
+        static_cast<std::uint16_t>(args.getInt("port", 0, 0, 65535));
+    options.workers = static_cast<std::size_t>(args.getInt(
+        "workers", 0, 0, static_cast<std::int64_t>(robust::kMaxThreads)));
+    options.cacheCapacity =
+        static_cast<std::size_t>(args.getInt("cache", 64, 0, kUnbounded));
+    options.maxInflightBytes = static_cast<std::size_t>(
+        args.getInt("max-inflight", 4 << 20, 1, kUnbounded));
+  } catch (const robust::InvalidArgumentError& e) {
+    std::fprintf(stderr, "robustd: %s\n", e.what());
+    return 2;
+  }
   options.reportDir = args.getString("report-dir", "");
   options.flightDir = args.getString("flight-dir", "");
   options.forcePoll = args.has("poll");

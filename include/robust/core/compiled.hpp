@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -73,6 +74,23 @@ struct ProblemSpec {
   std::vector<PerturbationSubspace> subspaces;
   std::vector<LinearConstraint> constraints;
 };
+
+/// The canonical byte encoding of a spec's content — everything rho
+/// depends on (FePIA steps 1-3 plus the norm) in a fixed field order with
+/// no padding, so byte-identical encodings mean the same problem. It is
+/// also robustd's REGISTER payload (robust/net/wire.hpp). Little-endian:
+///   u32 dim; u32 featureCount; u32 constraintCount;
+///   u8 norm (NormKind); u8 discrete; u16 reserved = 0;
+///   f64[dim] origin;
+///   f64[dim] normWeights            — present only when norm == Weighted;
+///   featureCount x { u16 nameLen; name; u8 boundsMask (1 = min, 2 = max);
+///                    f64 boundMin?; f64 boundMax?; f64 constant;
+///                    f64[dim] weights };
+///   constraintCount x { u16 nameLen; name; f64 bound; f64[dim] coeffs }.
+/// Throws InvalidArgumentError when the spec has no canonical encoding
+/// (callable features, explicit subspaces, dimension mismatches).
+[[nodiscard]] std::vector<std::uint8_t> encodeProblemSpec(
+    const ProblemSpec& spec);
 
 /// Phase-2 input: the per-query state overlaying a CompiledProblem. All
 /// spans may be empty, meaning "use the compiled defaults". Entries of
@@ -198,6 +216,13 @@ class CompiledProblem {
       const noexcept {
     return constraints_;
   }
+
+  /// The problem's identity: FNV-1a 64-bit of its canonical encoding
+  /// (encodeProblemSpec), the key robustd returns from REGISTER. 0 (do not
+  /// cache) when there is none: callable features, several subspaces.
+  /// Computed per call, not by compile(): at 4096 x 512 it costs tens of
+  /// milliseconds that only caches want.
+  [[nodiscard]] std::uint64_t contentKey() const;
 
   /// True when `origin` satisfies every compiled constraint.
   [[nodiscard]] bool originFeasible(std::span<const double> origin) const;

@@ -69,7 +69,7 @@ struct CurveOptions {
   /// busy to the end; the result is bit-identical for any value.
   std::size_t shardSamples = 1024;
   bool prune = true;              ///< row screen (false pins bit-equality)
-  bool useCache = true;           ///< consult the per-content-key cache
+  bool useCache = true;           ///< consult the content-key cache
 };
 
 /// One reported point of the degradation curve: the empirical violation
@@ -93,6 +93,7 @@ struct CurveResult {
                                 ///< on every critical radius
   bool fastLane = false;        ///< closed-form lane (vs bracket/bisect)
   bool cacheHit = false;        ///< served from the content-key cache
+                                ///< (or a concurrent identical call)
   std::vector<double> radii;    ///< sorted critical radii, size == samples
   std::vector<CurvePoint> points;  ///< quantile-spaced digest, <= gridPoints
 
@@ -109,15 +110,15 @@ struct CurveResult {
 /// Deterministic: (problem content, samples, seed, gridPoints, confidence,
 /// prune) fully determine the result, bit for bit — threads and
 /// shardSamples only change wall-clock time.
+///
+/// With options.useCache, results are kept in a process-wide 4-entry
+/// util::LruCache keyed by problem.contentKey() plus those five options;
+/// a recompiled problem with the same content hits. Concurrent calls for
+/// one key compute it once (the others wait and report cacheHit).
+/// Problems whose contentKey() is 0 (callable features, several
+/// subspaces) are computed directly and never cached.
 [[nodiscard]] CurveResult computeCurve(const core::CompiledProblem& problem,
                                        const CurveOptions& options = {});
-
-/// FNV-1a content key of the problem's canonical wire encoding — the same
-/// key robust::net derives for REGISTER_PROBLEM. Returns 0 when the
-/// problem cannot cross the wire (callable features, multiple subspaces):
-/// such problems are computed directly and never cached.
-[[nodiscard]] std::uint64_t problemContentKey(
-    const core::CompiledProblem& problem);
 
 /// Drops every cached curve (tests and benches delimit cache behaviour).
 void clearCurveCache() noexcept;

@@ -22,10 +22,12 @@
 // deferred reads push the pressure into the peer's socket buffer instead
 // of the daemon's heap.
 //
-// Registered specs land in a shared content-addressed LRU: byte-identical
-// REGISTER payloads (FNV-1a key, full byte compare on hit) map to ONE
-// CompiledProblem shared across tenants; sessions pin their entries with
-// shared_ptr, so eviction under churn never invalidates a registered key.
+// Registered specs land in a shared content-addressed util::LruCache:
+// byte-identical REGISTER payloads (FNV-1a key, full byte compare on hit)
+// map to ONE CompiledProblem shared across tenants, compiled once even
+// when tenants register it concurrently (single flight); sessions pin
+// their entries with shared_ptr, so eviction under churn never
+// invalidates a registered key.
 //
 // Every answer the daemon produces is bit-identical to the offline batch
 // lane: ANALYZE runs CompiledProblem::analyzeBatchMetric, whose results do

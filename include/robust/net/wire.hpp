@@ -22,13 +22,11 @@
 // connection (framing is lost); a malformed PAYLOAD inside a well-framed
 // frame is not (the session continues).
 //
-// The ProblemSpec codec carries the affine subset of core::ProblemSpec —
-// features with explicit weight rows, tolerance bounds, one norm (with
-// optional weights), a discrete flag, and hard linear constraints. Opaque
-// callable features cannot cross a process boundary and are rejected at
-// encode time. The encoding is canonical (no padding, fixed field order),
-// so its FNV-1a hash is a content key: byte-identical specs map to the
-// same CompiledProblem cache entry across tenants.
+// REGISTER carries core's canonical spec encoding (core::encodeProblemSpec:
+// the affine, single-subspace form; callable features cannot cross a
+// process boundary). Its FNV-1a hash is the problem's content key
+// (CompiledProblem::contentKey), so byte-identical specs share one
+// CompiledProblem cache entry across tenants.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +37,7 @@
 #include <vector>
 
 #include "robust/core/compiled.hpp"
+#include "robust/util/bytes.hpp"
 #include "robust/util/diagnostics.hpp"
 
 namespace robust::net {
@@ -132,23 +131,12 @@ struct HelloReply {
 [[nodiscard]] HelloReply decodeHelloOk(std::span<const std::uint8_t> payload,
                                        const util::Diagnostics& diag);
 
-/// REGISTER payload (the canonical ProblemSpec encoding):
-///   u32 dim; u32 featureCount; u32 constraintCount;
-///   u8 norm (NormKind); u8 discrete; u16 reserved = 0;
-///   f64[dim] origin;
-///   f64[dim] normWeights            — present only when norm == Weighted;
-///   featureCount x { u16 nameLen; name; u8 boundsMask (1 = min, 2 = max);
-///                    f64 boundMin?; f64 boundMax?; f64 constant;
-///                    f64[dim] weights };
-///   constraintCount x { u16 nameLen; name; f64 bound; f64[dim] coeffs }.
-/// All floating-point fields must be finite (Domain); norm weights must be
-/// positive; boundsMask must name at least one bound.
-///
-/// encodeProblemSpec throws InvalidArgumentError when the spec cannot
-/// cross the wire (callable features, explicit subspaces, dimension
-/// mismatches) — those are caller bugs, not hostile input.
-[[nodiscard]] std::vector<std::uint8_t> encodeProblemSpec(
-    const core::ProblemSpec& spec);
+/// REGISTER payload: the canonical spec encoding (grammar on
+/// core::encodeProblemSpec, whose refusals are caller bugs, not hostile
+/// input). decodeProblemSpec validates hostile bytes against `limits`:
+/// floating-point fields must be finite (Domain), norm weights positive,
+/// and boundsMask must name at least one bound.
+using core::encodeProblemSpec;
 [[nodiscard]] core::ProblemSpec decodeProblemSpec(
     std::span<const std::uint8_t> payload, const WireLimits& limits,
     const util::Diagnostics& diag);
@@ -220,11 +208,8 @@ void encodeReject(const RejectInfo& reject, std::vector<std::uint8_t>& out);
 [[nodiscard]] RejectInfo decodeReject(std::span<const std::uint8_t> payload,
                                       const util::Diagnostics& diag);
 
-// ---------------------------------------------------------------- hashing
-
-/// FNV-1a 64-bit over `bytes`: the content key of a canonical spec
-/// encoding. Stable across platforms and processes.
-[[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept;
+/// FNV-1a 64-bit: the content key of a canonical spec encoding.
+using util::fnv1a;
 
 /// Convenience: a complete frame (header + payload) ready to write.
 [[nodiscard]] std::vector<std::uint8_t> buildFrame(

@@ -30,6 +30,12 @@ class ArgParser {
   [[nodiscard]] std::int64_t getInt(const std::string& key,
                                     std::int64_t fallback) const;
 
+  /// getInt(key, fallback), refused with InvalidArgumentError naming the
+  /// option when it lies outside [lo, hi], so no narrowing cast can wrap.
+  [[nodiscard]] std::int64_t getInt(const std::string& key,
+                                    std::int64_t fallback, std::int64_t lo,
+                                    std::int64_t hi) const;
+
   /// True when `--key` appeared (with or without a value).
   [[nodiscard]] bool has(const std::string& key) const;
 

@@ -63,10 +63,14 @@ class ThreadPool {
   std::exception_ptr failure_;  ///< first uncollected task exception
 };
 
+/// The largest worker count any override may ask for.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Parses a ROBUST_THREADS-style override: the thread count when `text` is
-/// a plain decimal integer in [1, 1024], otherwise 0 ("ignore"). Hostile
-/// values (negative, huge, trailing garbage, floats, empty, null) all map
-/// to 0 so a bad environment can never oversubscribe or wedge the pool.
+/// a plain decimal integer in [1, kMaxThreads], otherwise 0 ("ignore").
+/// Hostile values (negative, huge, trailing garbage, floats, empty, null)
+/// all map to 0 so a bad environment can never oversubscribe or wedge the
+/// pool.
 [[nodiscard]] std::size_t parseThreadCount(const char* text) noexcept;
 
 /// Worker count used wherever callers pass `threads = 0`: the

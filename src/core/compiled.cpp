@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 
 #include "robust/core/row_radius.hpp"
@@ -10,6 +11,7 @@
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
+#include "robust/util/bytes.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/thread_pool.hpp"
 
@@ -1341,6 +1343,106 @@ std::vector<MetricResult> CompiledProblem::analyzeBatchMetric(
   std::vector<MetricResult> out(instances.size());
   analyzeBatchMetric(instances, out, threads, prune);
   return out;
+}
+
+namespace {
+
+using util::putBytes;
+using util::putF64;
+using util::putU16;
+using util::putU32;
+using util::putU8;
+
+void putF64s(std::vector<std::uint8_t>& out, std::span<const double> v) {
+  putBytes(out, v.data(), v.size() * sizeof(double));
+}
+
+/// The canonical encoding from its parts, so contentKey() need not copy
+/// the compiled members into a ProblemSpec.
+std::vector<std::uint8_t> encodeContent(
+    const std::vector<PerformanceFeature>& features,
+    const PerturbationParameter& parameter, const AnalyzerOptions& options,
+    const std::vector<LinearConstraint>& constraints) {
+  const std::size_t dim = parameter.origin.size();
+  ROBUST_REQUIRE(dim > 0, "encodeProblemSpec: empty perturbation origin");
+  ROBUST_REQUIRE(!features.empty(),
+                 "encodeProblemSpec: a spec needs at least one feature");
+  std::vector<std::uint8_t> out;
+  putU32(out, static_cast<std::uint32_t>(dim));
+  putU32(out, static_cast<std::uint32_t>(features.size()));
+  putU32(out, static_cast<std::uint32_t>(constraints.size()));
+  putU8(out, static_cast<std::uint8_t>(options.norm));
+  putU8(out, parameter.discrete ? 1 : 0);
+  putU16(out, 0);
+  putF64s(out, parameter.origin);
+  if (options.norm == NormKind::Weighted) {
+    ROBUST_REQUIRE(options.normWeights.size() == dim,
+                   "encodeProblemSpec: norm weights do not match dimension");
+    putF64s(out, options.normWeights);
+  }
+  for (const PerformanceFeature& f : features) {
+    ROBUST_REQUIRE(f.impact.isAffine(),
+                   "encodeProblemSpec: feature '" + f.name +
+                       "' is an opaque callable and cannot cross the wire");
+    ROBUST_REQUIRE(f.impact.weights().size() == dim,
+                   "encodeProblemSpec: feature '" + f.name +
+                       "' weight row does not match dimension");
+    ROBUST_REQUIRE(f.bounds.min.has_value() || f.bounds.max.has_value(),
+                   "encodeProblemSpec: feature '" + f.name +
+                       "' carries no tolerance bound");
+    putU16(out, static_cast<std::uint16_t>(f.name.size()));
+    putBytes(out, f.name.data(), f.name.size());
+    std::uint8_t mask = 0;
+    if (f.bounds.min) {
+      mask |= 1;
+    }
+    if (f.bounds.max) {
+      mask |= 2;
+    }
+    putU8(out, mask);
+    if (f.bounds.min) {
+      putF64(out, *f.bounds.min);
+    }
+    if (f.bounds.max) {
+      putF64(out, *f.bounds.max);
+    }
+    putF64(out, f.impact.constant());
+    putF64s(out, f.impact.weights());
+  }
+  for (const LinearConstraint& c : constraints) {
+    ROBUST_REQUIRE(c.coeffs.size() == dim,
+                   "encodeProblemSpec: constraint '" + c.name +
+                       "' coefficients do not match dimension");
+    putU16(out, static_cast<std::uint16_t>(c.name.size()));
+    putBytes(out, c.name.data(), c.name.size());
+    putF64(out, c.bound);
+    putF64s(out, c.coeffs);
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encodeProblemSpec(const ProblemSpec& spec) {
+  ROBUST_REQUIRE(spec.subspaces.empty(),
+                 "encodeProblemSpec: explicit subspaces do not cross the "
+                 "wire (v1 carries the single-subspace form only)");
+  return encodeContent(spec.features, spec.parameter, spec.options,
+                       spec.constraints);
+}
+
+std::uint64_t CompiledProblem::contentKey() const {
+  // A legacy spec compiles to exactly one subspace; the members are then
+  // that spec's own.
+  if (subspaces_.size() != 1) {
+    return 0;
+  }
+  try {
+    return util::fnv1a(
+        encodeContent(features_, parameter_, options_, constraints_));
+  } catch (const std::exception&) {
+    return 0;  // callable features: no canonical encoding
+  }
 }
 
 }  // namespace robust::core

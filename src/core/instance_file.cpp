@@ -5,25 +5,15 @@
 #include <limits>
 #include <ostream>
 
+#include "robust/util/bytes.hpp"
 #include "robust/util/error.hpp"
 
 namespace robust::core {
 
 namespace {
 
+using util::loadLE;
 using util::RejectCategory;
-
-std::uint32_t readU32(const std::byte* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-std::uint64_t readU64(const std::byte* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 void writeU32(std::ostream& out, std::uint32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -50,14 +40,14 @@ InstanceFileHeader parseInstanceFileHeader(std::span<const std::byte> header,
     diag.failInput(RejectCategory::Format,
                    "bad magic: not a robust binary instance file");
   }
-  const std::uint32_t version = readU32(header.data() + 8);
+  const std::uint32_t version = loadLE<std::uint32_t>(header.data() + 8);
   if (version != kInstanceFileVersion) {
     diag.failInput(RejectCategory::Format,
                    "unsupported format version " + std::to_string(version) +
                        " (this build reads version " +
                        std::to_string(kInstanceFileVersion) + ")");
   }
-  const std::uint32_t flags = readU32(header.data() + 12);
+  const std::uint32_t flags = loadLE<std::uint32_t>(header.data() + 12);
   if (flags != 0) {
     diag.failInput(RejectCategory::Format,
                    "unknown flags " + std::to_string(flags) +
@@ -71,8 +61,8 @@ InstanceFileHeader parseInstanceFileHeader(std::span<const std::byte> header,
   }
 
   InstanceFileHeader out;
-  out.dim = readU64(header.data() + 16);
-  out.instances = readU64(header.data() + 24);
+  out.dim = loadLE<std::uint64_t>(header.data() + 16);
+  out.instances = loadLE<std::uint64_t>(header.data() + 24);
   if (out.dim == 0) {
     diag.failInput(RejectCategory::Domain,
                    "declared dimension is zero");

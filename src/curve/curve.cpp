@@ -4,19 +4,18 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <list>
-#include <mutex>
+#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "robust/net/wire.hpp"
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/json_lite.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
 #include "robust/random/distributions.hpp"
 #include "robust/util/error.hpp"
+#include "robust/util/lru_cache.hpp"
 #include "robust/util/rng.hpp"
 #include "robust/util/thread_pool.hpp"
 
@@ -101,19 +100,15 @@ class CurveEngine {
   /// The closed-form lane needs every feature on an analytic affine row,
   /// one continuous subspace, and no feasibility clipping.
   static bool fastLaneEligible(const core::CompiledProblem& p) {
-    if (!p.fastSolver_ || p.multi_ || !p.callables_.empty() ||
-        !p.constraints_.empty()) {
-      return false;
-    }
-    if (p.parameter_.discrete) {
-      return false;
-    }
-    for (const auto& sub : p.subspaces_) {
-      if (sub.discrete) {
-        return false;
-      }
-    }
-    return true;
+    return p.fastSolver_ && !p.multi_ && p.callables_.empty() &&
+           p.constraints_.empty() && !anyDiscrete(p);
+  }
+
+  /// True when the parameter or any subspace is integer-valued.
+  static bool anyDiscrete(const core::CompiledProblem& p) {
+    return p.parameter_.discrete ||
+           std::any_of(p.subspaces_.begin(), p.subspaces_.end(),
+                       [](const auto& sub) { return sub.discrete; });
   }
 
   static FastPlan buildFastPlan(const core::CompiledProblem& p) {
@@ -375,17 +370,7 @@ class CurveEngine {
             });
       }
     } else {
-      const bool floorRadius = [&] {
-        if (p.parameter_.discrete) {
-          return true;
-        }
-        for (const auto& sub : p.subspaces_) {
-          if (sub.discrete) {
-            return true;
-          }
-        }
-        return false;
-      }();
+      const bool floorRadius = anyDiscrete(p);
       const double scale =
           std::isfinite(r.rho) && r.rho > 0.0 ? r.rho : 1.0;
       struct Scratch {
@@ -485,32 +470,12 @@ double CurveResult::radiusAtProbability(double p) const {
   return radii[k - 1];
 }
 
-std::uint64_t problemContentKey(const core::CompiledProblem& problem) {
-  // The wire format speaks the legacy single-subspace form only; the
-  // compiled problem normalizes legacy specs into exactly one subspace,
-  // so rebuild that form from the public accessors.
-  if (problem.subspaces().size() != 1) {
-    return 0;
-  }
-  core::ProblemSpec spec;
-  spec.features = problem.features();
-  spec.parameter = problem.parameter();
-  spec.options = problem.options();
-  spec.constraints = problem.constraints();
-  try {
-    const std::vector<std::uint8_t> bytes = net::encodeProblemSpec(spec);
-    return net::fnv1a(bytes);
-  } catch (const std::exception&) {
-    return 0;  // callable features etc.: uncacheable, computed direct
-  }
-}
-
 namespace {
 
-/// A tiny LRU of full curve results keyed by content + curve-shaping
-/// options. Threads / shardSamples are deliberately NOT part of the key:
-/// the result is bit-identical regardless, so a hit from a differently
-/// parallel run is still exact.
+/// The curve cache's key: problem identity plus the curve-shaping options.
+/// Threads / shardSamples are deliberately NOT part of the key: the result
+/// is bit-identical regardless, so a hit from a differently parallel run
+/// is still exact.
 struct CacheKey {
   std::uint64_t content = 0;
   std::size_t samples = 0;
@@ -522,20 +487,27 @@ struct CacheKey {
   bool operator==(const CacheKey&) const = default;
 };
 
-std::mutex gCacheMutex;
-// front = most recently used; tiny, so linear scan beats any map.
-std::list<std::pair<CacheKey, CurveResult>>& cacheList() {
-  static std::list<std::pair<CacheKey, CurveResult>> cache;
+/// Content and seed are what vary between curves in practice; equality
+/// settles the rest.
+struct CacheKeyHash {
+  std::size_t operator()(const CacheKey& k) const noexcept {
+    return static_cast<std::size_t>(k.content ^ k.seed);
+  }
+};
+
+constexpr std::size_t kCacheCapacity = 4;
+
+using CurveCache =
+    util::LruCache<CacheKey, std::shared_ptr<const CurveResult>, CacheKeyHash>;
+
+CurveCache& curveCache() {
+  static CurveCache cache(kCacheCapacity);
   return cache;
 }
-constexpr std::size_t kCacheCapacity = 4;
 
 }  // namespace
 
-void clearCurveCache() noexcept {
-  const std::lock_guard<std::mutex> lock(gCacheMutex);
-  cacheList().clear();
-}
+void clearCurveCache() noexcept { curveCache().clear(); }
 
 CurveResult computeCurve(const core::CompiledProblem& problem,
                          const CurveOptions& options) {
@@ -546,48 +518,23 @@ CurveResult computeCurve(const core::CompiledProblem& problem,
   ROBUST_REQUIRE(options.confidence > 0.0 && options.confidence < 1.0,
                  "computeCurve: confidence must lie in (0, 1)");
 
-  CacheKey key;
-  if (options.useCache) {
-    key.content = problemContentKey(problem);
-    if (key.content != 0) {
-      key.samples = options.samples;
-      key.seed = options.seed;
-      key.gridPoints = options.gridPoints;
-      key.confidence = options.confidence;
-      key.prune = options.prune;
-      const std::lock_guard<std::mutex> lock(gCacheMutex);
-      auto& cache = cacheList();
-      for (auto it = cache.begin(); it != cache.end(); ++it) {
-        if (it->first == key) {
-          cache.splice(cache.begin(), cache, it);
-          if (obs::enabled()) [[unlikely]] {
-            static const obs::MetricId kHits =
-                obs::counterId("curve.cache.hits");
-            obs::addCounter(kHits);
-          }
-          CurveResult hit = cache.front().second;
-          hit.cacheHit = true;
-          return hit;
-        }
-      }
-      if (obs::enabled()) [[unlikely]] {
-        static const obs::MetricId kMisses =
-            obs::counterId("curve.cache.misses");
-        obs::addCounter(kMisses);
-      }
-    }
+  const std::uint64_t content = options.useCache ? problem.contentKey() : 0;
+  if (content == 0) {
+    return CurveEngine::run(problem, options);
   }
-
-  CurveResult result = CurveEngine::run(problem, options);
-
-  if (options.useCache && key.content != 0) {
-    const std::lock_guard<std::mutex> lock(gCacheMutex);
-    auto& cache = cacheList();
-    cache.emplace_front(key, result);
-    while (cache.size() > kCacheCapacity) {
-      cache.pop_back();
-    }
+  const CacheKey key{content,           options.samples,    options.seed,
+                     options.gridPoints, options.confidence, options.prune};
+  const CurveCache::Lookup lookup = curveCache().getOrCompute(key, [&] {
+    return std::make_shared<const CurveResult>(
+        CurveEngine::run(problem, options));
+  });
+  if (obs::enabled()) [[unlikely]] {
+    static const obs::MetricId kHits = obs::counterId("curve.cache.hits");
+    static const obs::MetricId kMisses = obs::counterId("curve.cache.misses");
+    obs::addCounter(lookup.hit ? kHits : kMisses);
   }
+  CurveResult result = *lookup.value;
+  result.cacheHit = lookup.hit;
   return result;
 }
 
@@ -597,26 +544,19 @@ std::string curveSectionJson(const CurveResult& result) {
   out << ", \"samples\": " << result.samples;
   out << ", \"finite\": " << result.finiteRadii;
   out << ", \"seed\": " << result.seed;
-  out << ", \"confidence\": ";
-  out << obs::json::number(result.confidence);
-  out << ", \"dkw_epsilon\": ";
-  out << obs::json::number(result.dkwEpsilon);
-  out << ", \"rho\": ";
-  out << obs::json::number(result.rho);
+  out << ", \"confidence\": " << obs::json::number(result.confidence);
+  out << ", \"dkw_epsilon\": " << obs::json::number(result.dkwEpsilon);
+  out << ", \"rho\": " << obs::json::number(result.rho);
   out << ", \"fast_lane\": " << (result.fastLane ? "true" : "false");
   out << ", \"cache_hit\": " << (result.cacheHit ? "true" : "false");
   out << ", \"points\": [";
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     const CurvePoint& p = result.points[i];
     out << (i == 0 ? "" : ", ");
-    out << "{\"radius\": ";
-    out << obs::json::number(p.radius);
-    out << ", \"probability\": ";
-    out << obs::json::number(p.probability);
-    out << ", \"lower\": ";
-    out << obs::json::number(p.lower);
-    out << ", \"upper\": ";
-    out << obs::json::number(p.upper);
+    out << "{\"radius\": " << obs::json::number(p.radius);
+    out << ", \"probability\": " << obs::json::number(p.probability);
+    out << ", \"lower\": " << obs::json::number(p.lower);
+    out << ", \"upper\": " << obs::json::number(p.upper);
     out << '}';
   }
   out << "]}";

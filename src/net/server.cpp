@@ -22,12 +22,12 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -38,6 +38,7 @@
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/report.hpp"
 #include "robust/util/error.hpp"
+#include "robust/util/lru_cache.hpp"
 #include "robust/util/thread_pool.hpp"
 
 namespace robust::net {
@@ -54,44 +55,29 @@ void obsCount(const char* name, std::uint64_t delta = 1) {
   }
 }
 
-/// Stable lower-case frame-type label for metrics ("net.frames{type=...}").
-const char* frameTypeLabel(FrameType type) noexcept {
+/// A frame type's stable lower-case metrics label ("net.frames{type=...}")
+/// and its flight-recorder arrival event (string literals: the recorder
+/// stores only the pointer).
+struct FrameNames {
+  const char* label;
+  const char* flight;
+};
+FrameNames frameNames(FrameType type) noexcept {
   switch (type) {
     case FrameType::Hello:
-      return "hello";
+      return {"hello", "robustd.frame.hello"};
     case FrameType::Register:
-      return "register";
+      return {"register", "robustd.frame.register"};
     case FrameType::Analyze:
-      return "analyze";
+      return {"analyze", "robustd.frame.analyze"};
     case FrameType::Bye:
-      return "bye";
+      return {"bye", "robustd.frame.bye"};
     case FrameType::Stats:
-      return "stats";
+      return {"stats", "robustd.frame.stats"};
     case FrameType::TraceDump:
-      return "trace_dump";
+      return {"trace_dump", "robustd.frame.trace_dump"};
     default:
-      return "other";
-  }
-}
-
-/// Flight-recorder event name for one frame arrival (string literals: the
-/// recorder stores only the pointer).
-const char* frameFlightName(FrameType type) noexcept {
-  switch (type) {
-    case FrameType::Hello:
-      return "robustd.frame.hello";
-    case FrameType::Register:
-      return "robustd.frame.register";
-    case FrameType::Analyze:
-      return "robustd.frame.analyze";
-    case FrameType::Bye:
-      return "robustd.frame.bye";
-    case FrameType::Stats:
-      return "robustd.frame.stats";
-    case FrameType::TraceDump:
-      return "robustd.frame.trace_dump";
-    default:
-      return "robustd.frame.other";
+      return {"other", "robustd.frame.other"};
   }
 }
 
@@ -274,82 +260,22 @@ class Poller {
   std::vector<pollfd> pollfds_;
 };
 
-/// Content-addressed CompiledProblem cache shared by every tenant:
-/// FNV-1a key over the canonical spec bytes, full byte compare on hit (a
-/// colliding spec is simply compiled uncached), LRU eviction. Sessions pin
-/// entries with shared_ptr, so eviction never invalidates a registered
-/// key — it only stops future cross-tenant sharing of that spec.
-class ProblemCache {
- public:
-  explicit ProblemCache(std::size_t capacity) : capacity_(capacity) {}
-
-  struct Outcome {
-    std::shared_ptr<const core::CompiledProblem> problem;
-    std::uint64_t key = 0;
-    bool fromCache = false;
-    std::uint64_t evictions = 0;
-  };
-
-  /// Returns the cached problem for byte-identical `specBytes`, or
-  /// compiles and caches it. Throws whatever compile() throws.
-  Outcome lookupOrCompile(std::span<const std::uint8_t> specBytes,
-                          const WireLimits& limits) {
-    Outcome out;
-    out.key = fnv1a(specBytes);
-    {
-      std::lock_guard lock(mutex_);
-      const auto it = index_.find(out.key);
-      if (it != index_.end() &&
-          std::equal(it->second->bytes.begin(), it->second->bytes.end(),
-                     specBytes.begin(), specBytes.end())) {
-        entries_.splice(entries_.begin(), entries_, it->second);  // touch MRU
-        out.problem = it->second->problem;
-        out.fromCache = true;
-        return out;
-      }
-    }
-    // Compile outside the lock: registration is rare and compilation may
-    // be heavy; two tenants racing on the same new spec both compile and
-    // the second insert wins the byte-compare (harmless).
-    const Diagnostics diag("robustd:register");
-    core::ProblemSpec spec = decodeProblemSpec(specBytes, limits, diag);
-    auto compiled = std::make_shared<const core::CompiledProblem>(
-        core::CompiledProblem::compile(std::move(spec)));
-    std::lock_guard lock(mutex_);
-    const auto it = index_.find(out.key);
-    if (it == index_.end()) {
-      entries_.push_front(Entry{
-          out.key,
-          std::vector<std::uint8_t>(specBytes.begin(), specBytes.end()),
-          compiled});
-      index_[out.key] = entries_.begin();
-      while (entries_.size() > capacity_) {
-        index_.erase(entries_.back().key);
-        entries_.pop_back();
-        ++out.evictions;
-      }
-    }
-    out.problem = std::move(compiled);
-    return out;
-  }
-
-  /// Entries currently cached (for the STATS snapshot).
-  [[nodiscard]] std::size_t entries() const {
-    std::lock_guard lock(mutex_);
-    return entries_.size();
-  }
-
- private:
-  struct Entry {
-    std::uint64_t key;
-    std::vector<std::uint8_t> bytes;
-    std::shared_ptr<const core::CompiledProblem> problem;
-  };
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::list<Entry> entries_;  // MRU first
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+/// The shared compile cache's key: REGISTER payload bytes plus their
+/// FNV-1a hash (the REGISTER_OK key), hashed once per request. Equality
+/// compares the bytes, so a colliding spec is a second entry.
+struct SpecKey {
+  std::uint64_t hash = 0;
+  std::vector<std::uint8_t> bytes;
+  bool operator==(const SpecKey&) const = default;
 };
+struct SpecKeyHash {
+  std::size_t operator()(const SpecKey& key) const noexcept {
+    return static_cast<std::size_t>(key.hash);
+  }
+};
+using ProblemCache =
+    util::LruCache<SpecKey, std::shared_ptr<const core::CompiledProblem>,
+                   SpecKeyHash>;
 
 struct Work {
   enum class Kind { Register, Analyze };
@@ -509,12 +435,8 @@ struct Server::Impl {
 
   void sendReject(Session& s, std::uint32_t requestId,
                   RejectCategory category, bool fatal, std::string message) {
-    RejectInfo info;
-    info.category = category;
-    info.fatal = fatal;
-    info.message = std::move(message);
     std::vector<std::uint8_t> payload;
-    encodeReject(info, payload);
+    encodeReject(RejectInfo{category, fatal, std::move(message)}, payload);
     appendReply(s, buildFrame(FrameType::Reject, requestId, payload));
     recordReject(s, category);
     if (fatal) {
@@ -668,16 +590,12 @@ struct Server::Impl {
                                std::to_string(s.declaredDemand));
       report.info.emplace_back("close",
                                s.disconnected ? "disconnect" : "clean");
-      report.benchmarks.push_back(
-          obs::BenchResult{"frames", static_cast<double>(s.frames), "count"});
-      report.benchmarks.push_back(obs::BenchResult{
-          "batches", static_cast<double>(s.batches), "count"});
-      report.benchmarks.push_back(obs::BenchResult{
-          "instances", static_cast<double>(s.instancesDone), "count"});
-      report.benchmarks.push_back(obs::BenchResult{
-          "registers", static_cast<double>(s.registersDone), "count"});
-      report.benchmarks.push_back(obs::BenchResult{
-          "charged_cost", s.chargedCost, "instances_per_weight"});
+      report.benchmarks = {
+          {"frames", static_cast<double>(s.frames), "count"},
+          {"batches", static_cast<double>(s.batches), "count"},
+          {"instances", static_cast<double>(s.instancesDone), "count"},
+          {"registers", static_cast<double>(s.registersDone), "count"},
+          {"charged_cost", s.chargedCost, "instances_per_weight"}};
       for (std::size_t c = 0; c < util::kRejectCategoryCount; ++c) {
         report.benchmarks.push_back(obs::BenchResult{
             std::string("rejects_") +
@@ -811,17 +729,22 @@ struct Server::Impl {
     Completion done;
     try {
       if (work.kind == Work::Kind::Register) {
-        ProblemCache::Outcome outcome =
-            cache.lookupOrCompile(work.specBytes, options.limits);
+        const SpecKey key{fnv1a(work.specBytes), work.specBytes};
+        ProblemCache::Lookup outcome = cache.getOrCompute(key, [&] {
+          const Diagnostics diag("robustd:register");
+          return std::make_shared<const core::CompiledProblem>(
+              core::CompiledProblem::compile(
+                  decodeProblemSpec(work.specBytes, options.limits, diag)));
+        });
         std::vector<std::uint8_t> payload;
-        encodeRegisterOk(outcome.key, outcome.fromCache, payload);
+        encodeRegisterOk(key.hash, outcome.hit, payload);
         done.frame = buildFrame(FrameType::RegisterOk, work.requestId,
                                 payload);
-        done.install = std::move(outcome.problem);
-        done.installKey = outcome.key;
+        done.install = std::move(outcome.value);
+        done.installKey = key.hash;
         done.registers = 1;
-        done.cacheHit = outcome.fromCache ? 1 : 0;
-        done.cacheMiss = outcome.fromCache ? 0 : 1;
+        done.cacheHit = outcome.hit ? 1 : 0;
+        done.cacheMiss = outcome.hit ? 0 : 1;
         done.cacheEvictions = outcome.evictions;
         return done;
       }
@@ -866,9 +789,10 @@ struct Server::Impl {
     } catch (const ParseError& e) {
       done.rejected = true;
       done.rejectCategory = e.diagnostic().category;
-      RejectInfo info{e.diagnostic().category, false, e.diagnostic().format()};
       std::vector<std::uint8_t> payload;
-      encodeReject(info, payload);
+      encodeReject(RejectInfo{e.diagnostic().category, false,
+                              e.diagnostic().format()},
+                   payload);
       done.frame = buildFrame(FrameType::Reject, work.requestId, payload);
       return done;
     } catch (const std::exception& e) {
@@ -877,9 +801,9 @@ struct Server::Impl {
       // reject; the daemon and every other tenant keep running.
       done.rejected = true;
       done.rejectCategory = RejectCategory::Domain;
-      RejectInfo info{RejectCategory::Domain, false, e.what()};
       std::vector<std::uint8_t> payload;
-      encodeReject(info, payload);
+      encodeReject(RejectInfo{RejectCategory::Domain, false, e.what()},
+                   payload);
       done.frame = buildFrame(FrameType::Reject, work.requestId, payload);
       return done;
     }
@@ -962,20 +886,27 @@ struct Server::Impl {
 
   // ------------------------------------------------------------- stats
 
+  /// `prefix` (JSON punctuation and key) followed by the value.
+  static void appendInt(std::string& out, std::string_view prefix,
+                        std::uint64_t value) {
+    out += prefix;
+    out += std::to_string(value);
+  }
+  static void appendNumber(std::string& out, std::string_view prefix,
+                           double value) {
+    out += prefix;
+    out += obs::json::number(value);
+  }
+
   static void appendDigest(std::string& out, const char* key,
                            const LatencyDigest& digest) {
     out += '"';
     out += key;
-    out += "\":{\"count\":";
-    out += std::to_string(digest.count);
-    out += ",\"sum_nanos\":";
-    out += std::to_string(digest.sumNanos);
-    out += ",\"p50_nanos\":";
-    out += std::to_string(digest.quantileUpperNanos(0.50));
-    out += ",\"p95_nanos\":";
-    out += std::to_string(digest.quantileUpperNanos(0.95));
-    out += ",\"p99_nanos\":";
-    out += std::to_string(digest.quantileUpperNanos(0.99));
+    appendInt(out, "\":{\"count\":", digest.count);
+    appendInt(out, ",\"sum_nanos\":", digest.sumNanos);
+    appendInt(out, ",\"p50_nanos\":", digest.quantileUpperNanos(0.50));
+    appendInt(out, ",\"p95_nanos\":", digest.quantileUpperNanos(0.95));
+    appendInt(out, ",\"p99_nanos\":", digest.quantileUpperNanos(0.99));
     out += '}';
   }
 
@@ -1001,58 +932,35 @@ struct Server::Impl {
     out.reserve(1024 + tenants.size() * 640);
     out += "{\"schema\":\"";
     out += kStatsSchemaName;
-    out += "\",\"schema_version\":";
-    out += std::to_string(kStatsSchemaVersion);
+    appendInt(out, "\",\"schema_version\":", kStatsSchemaVersion);
     out += ",\"tool\":\"robustd\"";
 
-    out += ",\"server\":{\"sessions_opened\":";
-    out += std::to_string(st.sessionsOpened);
-    out += ",\"sessions_closed\":";
-    out += std::to_string(st.sessionsClosed);
-    out += ",\"sessions_active\":";
-    out += std::to_string(st.sessionsActive);
-    out += ",\"frames\":";
-    out += std::to_string(st.framesHandled);
-    out += ",\"batches\":";
-    out += std::to_string(st.batches);
-    out += ",\"instances\":";
-    out += std::to_string(st.instances);
-    out += ",\"registers\":";
-    out += std::to_string(st.registers);
-    out += ",\"disconnects\":";
-    out += std::to_string(st.disconnects);
-    out += ",\"stats_requests\":";
-    out += std::to_string(st.statsRequests);
-    out += ",\"trace_dumps\":";
-    out += std::to_string(st.traceDumps);
-    out += ",\"pool_workers\":";
-    out += std::to_string(pool.size());
-    out += ",\"pool_busy\":";
-    out += std::to_string(poolBusy);
-    out += ",\"virtual_time_floor\":";
-    out += obs::json::number(vtFloor);
+    appendInt(out, ",\"server\":{\"sessions_opened\":", st.sessionsOpened);
+    appendInt(out, ",\"sessions_closed\":", st.sessionsClosed);
+    appendInt(out, ",\"sessions_active\":", st.sessionsActive);
+    appendInt(out, ",\"frames\":", st.framesHandled);
+    appendInt(out, ",\"batches\":", st.batches);
+    appendInt(out, ",\"instances\":", st.instances);
+    appendInt(out, ",\"registers\":", st.registers);
+    appendInt(out, ",\"disconnects\":", st.disconnects);
+    appendInt(out, ",\"stats_requests\":", st.statsRequests);
+    appendInt(out, ",\"trace_dumps\":", st.traceDumps);
+    appendInt(out, ",\"pool_workers\":", pool.size());
+    appendInt(out, ",\"pool_busy\":", poolBusy);
+    appendNumber(out, ",\"virtual_time_floor\":", vtFloor);
     out += '}';
 
-    out += ",\"cache\":{\"hits\":";
-    out += std::to_string(st.cacheHits);
-    out += ",\"misses\":";
-    out += std::to_string(st.cacheMisses);
-    out += ",\"evictions\":";
-    out += std::to_string(st.cacheEvictions);
-    out += ",\"entries\":";
-    out += std::to_string(cache.entries());
-    out += ",\"capacity\":";
-    out += std::to_string(options.cacheCapacity);
+    appendInt(out, ",\"cache\":{\"hits\":", st.cacheHits);
+    appendInt(out, ",\"misses\":", st.cacheMisses);
+    appendInt(out, ",\"evictions\":", st.cacheEvictions);
+    appendInt(out, ",\"entries\":", cache.size());
+    appendInt(out, ",\"capacity\":", options.cacheCapacity);
     out += '}';
 
-    out += ",\"backpressure\":{\"stalls\":";
-    out += std::to_string(st.backpressureStalls);
-    out += ",\"max_inflight_bytes\":";
-    out += std::to_string(options.maxInflightBytes);
-    out += ",\"backlog_high_water_bytes\":";
-    out += std::to_string(st.backlogHighWaterBytes);
-    out += ",\"paused_sessions\":";
-    out += std::to_string(pausedSessions);
+    appendInt(out, ",\"backpressure\":{\"stalls\":", st.backpressureStalls);
+    appendInt(out, ",\"max_inflight_bytes\":", options.maxInflightBytes);
+    appendInt(out, ",\"backlog_high_water_bytes\":", st.backlogHighWaterBytes);
+    appendInt(out, ",\"paused_sessions\":", pausedSessions);
     out += '}';
 
     out += ",\"rejects\":{";
@@ -1062,11 +970,9 @@ struct Server::Impl {
       }
       out += '"';
       out += util::rejectCategoryName(static_cast<RejectCategory>(c));
-      out += "\":";
-      out += std::to_string(st.rejects[c]);
+      appendInt(out, "\":", st.rejects[c]);
     }
-    out += ",\"total\":";
-    out += std::to_string(st.rejectsTotal());
+    appendInt(out, ",\"total\":", st.rejectsTotal());
     out += '}';
 
     out += ",\"tenants\":{";
@@ -1078,30 +984,20 @@ struct Server::Impl {
       firstTenant = false;
       out += '"';
       out += obs::json::escape(name);
-      out += "\":{\"sessions\":";
-      out += std::to_string(totals.sessions);
-      out += ",\"frames\":";
-      out += std::to_string(totals.frames);
-      out += ",\"batches\":";
-      out += std::to_string(totals.batches);
-      out += ",\"instances\":";
-      out += std::to_string(totals.instances);
-      out += ",\"registers\":";
-      out += std::to_string(totals.registers);
-      out += ",\"cache_hits\":";
-      out += std::to_string(totals.cacheHits);
-      out += ",\"cache_misses\":";
-      out += std::to_string(totals.cacheMisses);
+      appendInt(out, "\":{\"sessions\":", totals.sessions);
+      appendInt(out, ",\"frames\":", totals.frames);
+      appendInt(out, ",\"batches\":", totals.batches);
+      appendInt(out, ",\"instances\":", totals.instances);
+      appendInt(out, ",\"registers\":", totals.registers);
+      appendInt(out, ",\"cache_hits\":", totals.cacheHits);
+      appendInt(out, ",\"cache_misses\":", totals.cacheMisses);
       std::uint64_t rejectsTotal = 0;
       for (std::uint64_t v : totals.rejects) {
         rejectsTotal += v;
       }
-      out += ",\"rejects_total\":";
-      out += std::to_string(rejectsTotal);
-      out += ",\"virtual_time\":";
-      out += obs::json::number(totals.virtualTime);
-      out += ",\"charged_cost\":";
-      out += obs::json::number(totals.chargedCost);
+      appendInt(out, ",\"rejects_total\":", rejectsTotal);
+      appendNumber(out, ",\"virtual_time\":", totals.virtualTime);
+      appendNumber(out, ",\"charged_cost\":", totals.chargedCost);
       out += ",\"latency\":{";
       appendDigest(out, "analyze", totals.analyzeLatency);
       out += ',';
@@ -1112,12 +1008,9 @@ struct Server::Impl {
     }
     out += '}';
 
-    out += ",\"flight\":{\"records\":";
-    out += std::to_string(obs::flightRecordCount());
-    out += ",\"capacity\":";
-    out += std::to_string(obs::flightCapacity());
-    out += ",\"dumps\":";
-    out += std::to_string(flightDumps);
+    appendInt(out, ",\"flight\":{\"records\":", obs::flightRecordCount());
+    appendInt(out, ",\"capacity\":", obs::flightCapacity());
+    appendInt(out, ",\"dumps\":", flightDumps);
     out += "}}";
     return out;
   }
@@ -1137,12 +1030,12 @@ struct Server::Impl {
     obsCount("net.frames");
     if (obs::enabled()) [[unlikely]] {
       obs::addCounter(
-          obs::counterId("net.frames", "type", frameTypeLabel(header.type)));
+          obs::counterId("net.frames", "type", frameNames(header.type).label));
     }
     if (obs::flightEnabled()) {
       // Instantaneous arrival marker, requestId-correlated: the dump shows
       // which wire request each queue wait / compile / analyze belongs to.
-      obs::recordFlight(frameFlightName(header.type), header.requestId,
+      obs::recordFlight(frameNames(header.type).flight, header.requestId,
                         obs::detail::nowNanos(), 0);
     }
     const Diagnostics diag("robustd:frame");
@@ -1249,34 +1142,7 @@ struct Server::Impl {
       // read of state this thread already owns, so it never waits behind
       // (or occupies) a pool worker, and no HELLO is required (a monitor
       // is not a tenant).
-      case FrameType::Stats: {
-        try {
-          (void)decodeAdminRequest(payload, diag);
-        } catch (const ParseError& e) {
-          sendReject(s, header.requestId, e.diagnostic().category, false,
-                     e.diagnostic().format());
-          return;
-        }
-        {
-          std::lock_guard lock(mutex);
-          stats.statsRequests++;
-        }
-        const std::string json = buildStatsJson();
-        if (json.size() > options.limits.maxFrameBytes) {
-          sendReject(s, header.requestId, RejectCategory::Domain, false,
-                     "robustd: stats snapshot of " +
-                         std::to_string(json.size()) +
-                         " bytes exceeds the frame cap");
-          return;
-        }
-        appendReply(
-            s, buildFrame(FrameType::StatsOk, header.requestId,
-                          std::span<const std::uint8_t>(
-                              reinterpret_cast<const std::uint8_t*>(
-                                  json.data()),
-                              json.size())));
-        return;
-      }
+      case FrameType::Stats:
       case FrameType::TraceDump: {
         try {
           (void)decodeAdminRequest(payload, diag);
@@ -1285,28 +1151,25 @@ struct Server::Impl {
                      e.diagnostic().format());
           return;
         }
-        std::ostringstream dump;
-        obs::writeFlightTrace(dump);
-        const std::string text = dump.str();
-        if (text.size() > options.limits.maxFrameBytes) {
-          // Refuse without draining: the records stay available for an
-          // on-fatal file dump, which has no frame cap.
-          sendReject(s, header.requestId, RejectCategory::Domain, false,
-                     "robustd: flight dump of " + std::to_string(text.size()) +
-                         " bytes exceeds the frame cap");
+        if (header.type == FrameType::Stats) {
+          {
+            std::lock_guard lock(mutex);
+            stats.statsRequests++;
+          }
+          (void)replyText(s, FrameType::StatsOk, header.requestId,
+                          buildStatsJson(), "stats snapshot");
           return;
         }
-        obs::clearFlight();  // drain semantics: each record is reported once
-        {
+        std::ostringstream dump;
+        obs::writeFlightTrace(dump);
+        // A refused dump is not drained: the records stay available for
+        // an on-fatal file dump, which has no frame cap.
+        if (replyText(s, FrameType::TraceDumpOk, header.requestId,
+                      dump.str(), "flight dump")) {
+          obs::clearFlight();  // drain semantics: each record reported once
           std::lock_guard lock(mutex);
           stats.traceDumps++;
         }
-        appendReply(
-            s, buildFrame(FrameType::TraceDumpOk, header.requestId,
-                          std::span<const std::uint8_t>(
-                              reinterpret_cast<const std::uint8_t*>(
-                                  text.data()),
-                              text.size())));
         return;
       }
       default:
@@ -1315,6 +1178,24 @@ struct Server::Impl {
                        std::to_string(static_cast<unsigned>(header.type)));
         return;
     }
+  }
+
+  /// Replies with `text` as the whole payload of a `type` frame, or with a
+  /// Domain reject when it exceeds the frame cap. False when rejected.
+  bool replyText(Session& s, FrameType type, std::uint32_t requestId,
+                 const std::string& text, const char* what) {
+    if (text.size() > options.limits.maxFrameBytes) {
+      sendReject(s, requestId, RejectCategory::Domain, false,
+                 std::string("robustd: ") + what + " of " +
+                     std::to_string(text.size()) +
+                     " bytes exceeds the frame cap");
+      return false;
+    }
+    appendReply(s, buildFrame(type, requestId,
+                              {reinterpret_cast<const std::uint8_t*>(
+                                   text.data()),
+                               text.size()}));
+    return true;
   }
 
   bool requireHello(Session& s, std::uint32_t requestId) {

@@ -1,7 +1,6 @@
 #include "robust/net/wire.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "robust/core/feature.hpp"
@@ -14,42 +13,12 @@ namespace {
 
 using util::Diagnostics;
 using util::RejectCategory;
-
-// Little-endian primitive writers. memcpy keeps them alignment-safe; the
-// build targets are little-endian (the on-disk .rbi format makes the same
-// assumption).
-void putU8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-void putU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 2);
-  std::memcpy(out.data() + at, &v, 2);
-}
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 4);
-  std::memcpy(out.data() + at, &v, 4);
-}
-void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  const std::size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &v, 8);
-}
-void putF64(std::vector<std::uint8_t>& out, double v) {
-  const std::size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &v, 8);
-}
-void putBytes(std::vector<std::uint8_t>& out, const void* data,
-              std::size_t n) {
-  if (n == 0) {
-    return;
-  }
-  const std::size_t at = out.size();
-  out.resize(at + n);
-  std::memcpy(out.data() + at, data, n);
-}
+using util::putBytes;
+using util::putF64;
+using util::putU16;
+using util::putU32;
+using util::putU64;
+using util::putU8;
 
 /// Bounds-checked little-endian cursor over one untrusted payload. Every
 /// under-run fails through the Diagnostics context with the 1-based byte
@@ -73,38 +42,18 @@ class Reader {
     }
   }
 
-  std::uint8_t u8(const char* what) {
-    need(1, what);
-    return bytes_[pos_++];
-  }
-  std::uint16_t u16(const char* what) {
-    need(2, what);
-    std::uint16_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 2);
-    pos_ += 2;
+  template <class T>
+  T get(const char* what) {
+    need(sizeof(T), what);
+    const T v = util::loadLE<T>(bytes_.data() + pos_);
+    pos_ += sizeof(T);
     return v;
   }
-  std::uint32_t u32(const char* what) {
-    need(4, what);
-    std::uint32_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 4);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    std::uint64_t v;
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  double f64(const char* what) {
-    need(8, what);
-    double v;
-    std::memcpy(&v, bytes_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
+  std::uint8_t u8(const char* what) { return get<std::uint8_t>(what); }
+  std::uint16_t u16(const char* what) { return get<std::uint16_t>(what); }
+  std::uint32_t u32(const char* what) { return get<std::uint32_t>(what); }
+  std::uint64_t u64(const char* what) { return get<std::uint64_t>(what); }
+  double f64(const char* what) { return get<double>(what); }
   /// A finite double; non-finite payloads are Domain rejects so NaN can
   /// never leak past the service boundary (mirrors core::InputPolicy).
   double finiteF64(const char* what) {
@@ -268,76 +217,6 @@ HelloReply decodeHelloOk(std::span<const std::uint8_t> payload,
   reply.sessionId = reader.u64("session id");
   reader.expectEnd("HELLO_OK");
   return reply;
-}
-
-std::vector<std::uint8_t> encodeProblemSpec(const core::ProblemSpec& spec) {
-  ROBUST_REQUIRE(spec.subspaces.empty(),
-                 "encodeProblemSpec: explicit subspaces do not cross the "
-                 "wire (v1 carries the single-subspace form only)");
-  const std::size_t dim = spec.parameter.origin.size();
-  ROBUST_REQUIRE(dim > 0, "encodeProblemSpec: empty perturbation origin");
-  ROBUST_REQUIRE(!spec.features.empty(),
-                 "encodeProblemSpec: a spec needs at least one feature");
-  std::vector<std::uint8_t> out;
-  putU32(out, static_cast<std::uint32_t>(dim));
-  putU32(out, static_cast<std::uint32_t>(spec.features.size()));
-  putU32(out, static_cast<std::uint32_t>(spec.constraints.size()));
-  putU8(out, static_cast<std::uint8_t>(spec.options.norm));
-  putU8(out, spec.parameter.discrete ? 1 : 0);
-  putU16(out, 0);
-  for (double v : spec.parameter.origin) {
-    putF64(out, v);
-  }
-  if (spec.options.norm == core::NormKind::Weighted) {
-    ROBUST_REQUIRE(spec.options.normWeights.size() == dim,
-                   "encodeProblemSpec: norm weights do not match dimension");
-    for (double v : spec.options.normWeights) {
-      putF64(out, v);
-    }
-  }
-  for (const core::PerformanceFeature& f : spec.features) {
-    ROBUST_REQUIRE(f.impact.isAffine(),
-                   "encodeProblemSpec: feature '" + f.name +
-                       "' is an opaque callable and cannot cross the wire");
-    ROBUST_REQUIRE(f.impact.weights().size() == dim,
-                   "encodeProblemSpec: feature '" + f.name +
-                       "' weight row does not match dimension");
-    ROBUST_REQUIRE(f.bounds.min.has_value() || f.bounds.max.has_value(),
-                   "encodeProblemSpec: feature '" + f.name +
-                       "' carries no tolerance bound");
-    putU16(out, static_cast<std::uint16_t>(f.name.size()));
-    putBytes(out, f.name.data(), f.name.size());
-    std::uint8_t mask = 0;
-    if (f.bounds.min) {
-      mask |= 1;
-    }
-    if (f.bounds.max) {
-      mask |= 2;
-    }
-    putU8(out, mask);
-    if (f.bounds.min) {
-      putF64(out, *f.bounds.min);
-    }
-    if (f.bounds.max) {
-      putF64(out, *f.bounds.max);
-    }
-    putF64(out, f.impact.constant());
-    for (double v : f.impact.weights()) {
-      putF64(out, v);
-    }
-  }
-  for (const core::LinearConstraint& c : spec.constraints) {
-    ROBUST_REQUIRE(c.coeffs.size() == dim,
-                   "encodeProblemSpec: constraint '" + c.name +
-                       "' coefficients do not match dimension");
-    putU16(out, static_cast<std::uint16_t>(c.name.size()));
-    putBytes(out, c.name.data(), c.name.size());
-    putF64(out, c.bound);
-    for (double v : c.coeffs) {
-      putF64(out, v);
-    }
-  }
-  return out;
 }
 
 core::ProblemSpec decodeProblemSpec(std::span<const std::uint8_t> payload,
@@ -589,17 +468,6 @@ RejectInfo decodeReject(std::span<const std::uint8_t> payload,
   reject.message.assign(
       reinterpret_cast<const char*>(payload.data() + reader.pos()), len);
   return reject;
-}
-
-// ------------------------------------------------------------------ hashing
-
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : bytes) {
-    hash ^= b;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 std::vector<std::uint8_t> buildFrame(FrameType type, std::uint32_t requestId,

@@ -84,6 +84,18 @@ std::int64_t ArgParser::getInt(const std::string& key,
   return v;
 }
 
+std::int64_t ArgParser::getInt(const std::string& key, std::int64_t fallback,
+                               std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t v = getInt(key, fallback);
+  if (v < lo || v > hi) {
+    throw InvalidArgumentError("option --" + key + " value " +
+                               std::to_string(v) + " lies outside [" +
+                               std::to_string(lo) + ", " +
+                               std::to_string(hi) + "]");
+  }
+  return v;
+}
+
 bool ArgParser::has(const std::string& key) const {
   return values_.contains(key);
 }

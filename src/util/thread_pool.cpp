@@ -22,7 +22,7 @@ std::size_t parseThreadCount(const char* text) noexcept {
   }
   char* end = nullptr;
   const unsigned long parsed = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || parsed == 0 || parsed > 1024) {
+  if (end == text || *end != '\0' || parsed == 0 || parsed > kMaxThreads) {
     return 0;
   }
   return static_cast<std::size_t>(parsed);

@@ -651,7 +651,7 @@ TEST(CurveCache, HitsByContentKeyAndStaysExact) {
   clearCurveCache();
   ObsGuard obs;
   const CompiledProblem problem = curveProblem(16, 8);
-  ASSERT_NE(problemContentKey(problem), 0u);
+  ASSERT_NE(problem.contentKey(), 0u);
 
   CurveOptions o;
   o.samples = 512;
@@ -663,7 +663,7 @@ TEST(CurveCache, HitsByContentKeyAndStaysExact) {
 
   // An equivalent recompile (same content) hits; a different seed misses.
   const CompiledProblem again = curveProblem(16, 8);
-  EXPECT_EQ(problemContentKey(problem), problemContentKey(again));
+  EXPECT_EQ(problem.contentKey(), again.contentKey());
   EXPECT_TRUE(computeCurve(again, o).cacheHit);
   CurveOptions reseeded = o;
   reseeded.seed = 999;
@@ -687,11 +687,27 @@ TEST(CurveCache, UncacheableSpecsComputeDirect) {
           [](std::span<const double> x) { return x[0]; }),
       ToleranceBounds::atMost(3.0)});
   const CompiledProblem problem = CompiledProblem::compile(std::move(spec));
-  EXPECT_EQ(problemContentKey(problem), 0u);
+  EXPECT_EQ(problem.contentKey(), 0u);
   CurveOptions o;
   o.samples = 32;
   EXPECT_FALSE(computeCurve(problem, o).cacheHit);
   EXPECT_FALSE(computeCurve(problem, o).cacheHit);
+
+  // Several subspaces have no canonical encoding either.
+  ProblemSpec multi;
+  PerturbationSubspace a;
+  a.name = "a";
+  a.origin = num::Vec{1.0};
+  PerturbationSubspace b = a;
+  b.name = "b";
+  multi.subspaces = {a, b};
+  multi.features.push_back(PerformanceFeature{
+      "sum", ImpactFunction::affine(num::Vec{1.0, 1.0}, 0.0),
+      ToleranceBounds::atMost(4.0)});
+  const CompiledProblem split = CompiledProblem::compile(std::move(multi));
+  EXPECT_EQ(split.contentKey(), 0u);
+  EXPECT_FALSE(computeCurve(split, o).cacheHit);
+  EXPECT_FALSE(computeCurve(split, o).cacheHit);
 }
 
 // ----------------------------------------------------------------- drift

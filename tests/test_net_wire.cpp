@@ -4,6 +4,7 @@
 // categorized util::ParseError — never a crash, never an allocation
 // proportional to a lying count field.
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -12,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include "robust/core/compiled.hpp"
+#include "robust/net/client.hpp"
+#include "robust/net/server.hpp"
 #include "robust/net/wire.hpp"
 #include "robust/util/diagnostics.hpp"
+#include "robust/util/rng.hpp"
 
 namespace {
 
@@ -231,6 +235,82 @@ TEST(NetWire, CanonicalEncodingIsAStableContentKey) {
   const std::vector<std::uint8_t> c =
       robust::net::encodeProblemSpec(tweaked);
   EXPECT_NE(robust::net::fnv1a(a), robust::net::fnv1a(c));
+}
+
+TEST(NetWire, ContentKeyBitsArePinned) {
+  // Captured before the encoder moved from net into core: REGISTER_OK
+  // replies carry this key, so its bits must never move.
+  constexpr std::uint64_t kSampleKey = 0xdacfc9ffb0ee0a06ULL;
+  EXPECT_EQ(robust::net::fnv1a(robust::net::encodeProblemSpec(sampleSpec())),
+            kSampleKey);
+  EXPECT_EQ(CompiledProblem::compile(sampleSpec()).contentKey(), kSampleKey);
+}
+
+/// The spec family of bench/robustd_load at its defaults (--dim 24
+/// --features 8 --seed 42), replicated here so the REGISTER keys the load
+/// driver sees can be pinned without running it.
+ProblemSpec loadFamilySpec(std::size_t family) {
+  constexpr std::size_t kDim = 24;
+  constexpr std::size_t kFeatures = 8;
+  auto rng = robust::makeStream(42, 1000 + family);
+  ProblemSpec spec;
+  spec.parameter.name = "pi (load family " + std::to_string(family) + ")";
+  spec.parameter.origin.resize(kDim);
+  for (double& v : spec.parameter.origin) {
+    v = rng.uniform(1.0, 4.0);
+  }
+  for (std::size_t f = 0; f < kFeatures; ++f) {
+    robust::num::Vec weights(kDim);
+    for (double& w : weights) {
+      w = rng.uniform(0.1, 2.0);
+    }
+    const double constant = rng.uniform(-1.0, 1.0);
+    double phiOrig = constant;
+    for (std::size_t j = 0; j < kDim; ++j) {
+      phiOrig += weights[j] * spec.parameter.origin[j];
+    }
+    const double slack = rng.uniform(2.0, 6.0);
+    spec.features.push_back(PerformanceFeature{
+        "phi_" + std::to_string(f),
+        ImpactFunction::affine(std::move(weights), constant),
+        ToleranceBounds::between(phiOrig - slack, phiOrig + slack)});
+  }
+  if (family % 2 == 1) {
+    LinearConstraint budget;
+    budget.name = "budget";
+    budget.coeffs.assign(kDim, 1.0);
+    double load = 0.0;
+    for (double v : spec.parameter.origin) {
+      load += v;
+    }
+    budget.bound = load + 0.05 * load;
+    spec.constraints.push_back(std::move(budget));
+  }
+  return spec;
+}
+
+TEST(NetWire, LiveRegisterKeyIsTheCompiledContentKey) {
+  // Keys captured before the encoder moved from net into core.
+  constexpr std::uint64_t kFamilyKeys[3] = {
+      0x3d2bdb1940ab9eccULL, 0x068f17641069cf31ULL, 0x06b186c1296cea05ULL};
+  robust::net::ServerOptions options;
+  options.workers = 1;
+  robust::net::Server server(std::move(options));
+  server.start();
+  robust::net::Client client;
+  client.connectTcp(server.port());
+  client.hello("keys", 1);
+  for (std::size_t family = 0; family < 3; ++family) {
+    const robust::net::RegisterReply reg =
+        client.registerProblem(loadFamilySpec(family));
+    EXPECT_FALSE(reg.fromCache);
+    EXPECT_EQ(reg.key,
+              CompiledProblem::compile(loadFamilySpec(family)).contentKey())
+        << "family " << family;
+    EXPECT_EQ(reg.key, kFamilyKeys[family]) << "family " << family;
+  }
+  client.bye();
+  server.stop();
 }
 
 TEST(NetWire, Fnv1aMatchesTheReferenceVectors) {

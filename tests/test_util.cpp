@@ -22,6 +22,7 @@
 #include "robust/util/args.hpp"
 #include "robust/util/diagnostics.hpp"
 #include "robust/util/error.hpp"
+#include "robust/util/lru_cache.hpp"
 #include "robust/util/mmap_file.hpp"
 #include "robust/util/rng.hpp"
 #include "robust/util/stats.hpp"
@@ -424,6 +425,35 @@ TEST(Args, RejectsMalformed) {
   const ArgParser args(3, argv2);
   EXPECT_THROW((void)args.getDouble("num", 0.0), InvalidArgumentError);
   EXPECT_THROW((void)args.getInt("num", 0), InvalidArgumentError);
+}
+
+TEST(Args, RangedIntRefusesValuesThatWouldWrapACast) {
+  // robustd's sizing options and the values an unchecked cast would wrap:
+  // port 70000 binds 4464, 100000 workers spawn 100000 threads, negative
+  // sizes become SIZE_MAX-scale capacities.
+  const char* argv[] = {"prog",   "--port",  "70000", "--workers",
+                        "100000", "--cache", "-1",    "--max-inflight",
+                        "0",      "--fine",  "65535"};
+  const ArgParser args(11, argv);
+  const auto refusal = [&](const char* key, std::int64_t lo,
+                           std::int64_t hi) -> std::string {
+    try {
+      (void)args.getInt(key, 0, lo, hi);
+    } catch (const InvalidArgumentError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(refusal("port", 0, 65535),
+            "option --port value 70000 lies outside [0, 65535]");
+  EXPECT_NE(refusal("workers", 0, 1024).find("--workers"), std::string::npos);
+  EXPECT_NE(refusal("cache", 0, kMax).find("--cache"), std::string::npos);
+  EXPECT_NE(refusal("max-inflight", 1, kMax).find("--max-inflight"),
+            std::string::npos);
+  EXPECT_EQ(args.getInt("fine", 0, 0, 65535), 65535);
+  EXPECT_EQ(args.getInt("absent", 7, 0, 10), 7);
+  EXPECT_THROW((void)args.getInt("absent", 11, 0, 10), InvalidArgumentError);
 }
 
 TEST(Args, LaterDuplicateWins) {
@@ -930,6 +960,186 @@ TEST(Diagnostics, CategoryNamesAreStableCounterKeys) {
                "truncated");
   EXPECT_STREQ(util::rejectCategoryName(util::RejectCategory::Other),
                "other");
+}
+
+// ------------------------------------------------------------- LruCache
+//
+// No test here depends on timing: threads meet on atomics (spin + yield),
+// never on sleeps.
+
+using IntCache = util::LruCache<int, int>;
+
+void spinUntil(const std::atomic<int>& value, int target) {
+  while (value.load() < target) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(LruCache, ConcurrentCallersOfOneKeyComputeItOnce) {
+  constexpr int kThreads = 8;
+  IntCache cache(4);
+  std::atomic<int> arrived{0};
+  std::atomic<int> makes{0};
+  std::atomic<int> hits{0};
+  std::atomic<int> misses{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ++arrived;
+      const IntCache::Lookup got = cache.getOrCompute(7, [&] {
+        ++makes;
+        spinUntil(arrived, kThreads);  // every caller is at the cache
+        return 42;
+      });
+      ++(got.hit ? hits : misses);
+      if (got.value != 42 || got.evictions != 0) {
+        ++wrong;
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(makes.load(), 1);
+  EXPECT_EQ(misses.load(), 1);
+  EXPECT_EQ(hits.load(), kThreads - 1);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(LruCache, AThrowingMakeReachesEveryWaiterAndCachesNothing) {
+  constexpr int kThreads = 6;
+  IntCache cache(4);
+  std::atomic<int> arrived{0};
+  std::atomic<int> makes{0};
+  std::atomic<int> caught{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ++arrived;
+      try {
+        (void)cache.getOrCompute(3, [&]() -> int {
+          ++makes;
+          spinUntil(arrived, kThreads);
+          throw std::runtime_error("compile failed");
+        });
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()) == "compile failed") {
+          ++caught;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(caught.load(), kThreads);
+  EXPECT_GE(makes.load(), 1);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // Nothing was cached: the next lookup computes again, and succeeds.
+  const IntCache::Lookup again = cache.getOrCompute(3, [] { return 5; });
+  EXPECT_FALSE(again.hit);
+  EXPECT_EQ(again.value, 5);
+  EXPECT_TRUE(cache.getOrCompute(3, [] { return 0; }).hit);
+}
+
+/// Looks `key` up with a make() returning key * 10; returns "hit" or the
+/// eviction count of the miss as "miss/<n>".
+std::string touch(IntCache& cache, int key) {
+  const IntCache::Lookup got =
+      cache.getOrCompute(key, [key] { return key * 10; });
+  EXPECT_EQ(got.value, key * 10);
+  return got.hit ? "hit" : "miss/" + std::to_string(got.evictions);
+}
+
+TEST(LruCache, EvictsLeastRecentlyUsedAtEveryCapacity) {
+  IntCache none(0);  // keeps nothing resident; each insert evicts itself
+  EXPECT_EQ(touch(none, 1), "miss/1");
+  EXPECT_EQ(touch(none, 1), "miss/1");
+  EXPECT_EQ(none.size(), 0u);
+
+  IntCache one(1);
+  EXPECT_EQ(touch(one, 1), "miss/0");
+  EXPECT_EQ(touch(one, 1), "hit");
+  EXPECT_EQ(touch(one, 2), "miss/1");
+  EXPECT_EQ(touch(one, 1), "miss/1");
+  EXPECT_EQ(one.size(), 1u);
+
+  IntCache four(4);
+  for (int k = 1; k <= 4; ++k) {
+    EXPECT_EQ(touch(four, k), "miss/0");
+  }
+  EXPECT_EQ(touch(four, 1), "hit");     // MRU order: 1 4 3 2
+  EXPECT_EQ(touch(four, 5), "miss/1");  // evicts 2: 5 1 4 3
+  EXPECT_EQ(touch(four, 2), "miss/1");  // evicts 3: 2 5 1 4
+  EXPECT_EQ(touch(four, 1), "hit");     //           1 2 5 4
+  EXPECT_EQ(touch(four, 3), "miss/1");  // evicts 4: 3 1 2 5
+  for (int k : {1, 2, 3, 5}) {
+    EXPECT_EQ(touch(four, k), "hit") << k;
+  }
+  EXPECT_EQ(four.size(), 4u);
+  EXPECT_EQ(four.capacity(), 4u);
+}
+
+TEST(LruCache, InFlightEntriesAreNeitherEvictedNorCounted) {
+  IntCache cache(1);
+  std::atomic<int> entered{0};
+  std::atomic<int> release{0};
+  IntCache::Lookup slow;
+  std::thread th([&] {
+    slow = cache.getOrCompute(1, [&] {
+      ++entered;
+      spinUntil(release, 1);
+      return 10;
+    });
+  });
+  spinUntil(entered, 1);
+  EXPECT_EQ(cache.size(), 0u);  // key 1 is in flight, not resident
+  EXPECT_EQ(touch(cache, 2), "miss/0");
+  EXPECT_EQ(touch(cache, 3), "miss/1");  // evicts 2, never the in-flight 1
+  ++release;
+  th.join();
+  EXPECT_FALSE(slow.hit);
+  EXPECT_EQ(slow.value, 10);
+  EXPECT_EQ(slow.evictions, 1u);  // its insert evicted 3
+  EXPECT_EQ(touch(cache, 1), "hit");
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(LruCache, ClearWhileInFlightForgetsTheComputation) {
+  IntCache cache(4);
+  EXPECT_EQ(touch(cache, 8), "miss/0");
+  std::atomic<int> entered{0};
+  std::atomic<int> release{0};
+  IntCache::Lookup slow;
+  std::thread th([&] {
+    slow = cache.getOrCompute(9, [&] {
+      ++entered;
+      spinUntil(release, 1);
+      return 1;
+    });
+  });
+  spinUntil(entered, 1);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  // The in-flight computation is forgotten: this lookup computes afresh.
+  const IntCache::Lookup fresh = cache.getOrCompute(9, [] { return 2; });
+  EXPECT_FALSE(fresh.hit);
+  EXPECT_EQ(fresh.value, 2);
+  ++release;
+  th.join();
+  // The forgotten computation still answers its own caller...
+  EXPECT_FALSE(slow.hit);
+  EXPECT_EQ(slow.value, 1);
+  EXPECT_EQ(slow.evictions, 0u);
+  // ...but does not overwrite the entry computed after clear().
+  const IntCache::Lookup after = cache.getOrCompute(9, [] { return 3; });
+  EXPECT_TRUE(after.hit);
+  EXPECT_EQ(after.value, 2);
+  EXPECT_EQ(touch(cache, 8), "miss/0");
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace
